@@ -92,4 +92,16 @@ echo "== bench regression gate (bench_regression vs bench_results/baselines)"
 cargo run -q --release -p kw-bench --bin bench_regression -- \
     --baseline-dir bench_results/baselines --fresh-dir "$bench_dir"
 
+echo "== perfbench build and smoke run (perfbench/, 1 s per workload)"
+# perfbench is a Cargo package of its own outside the workspace, so the
+# workspace build above does not compile it and an API change in the crates
+# it links would go unnoticed. Each run exits non-zero on an oracle
+# mismatch, a simulated result that does not repeat, or a leaked device
+# byte; `set -e` turns that into a CI failure.
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+for workload in resident-scan service-mix out-of-core; do
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "CI OK"

@@ -187,22 +187,18 @@ fn effective_chunks(bindings: &[(&str, &Relation)], requested: usize) -> usize {
 }
 
 /// Slice every bound input into `chunks` row chunks (chunking by index
-/// keeps each chunk key-sorted and their concatenation key-ordered).
+/// keeps each chunk key-sorted and their concatenation key-ordered). The
+/// chunks share their input's buffer: no tuple is copied.
 fn row_slice_inputs<'a>(
     bindings: &[(&'a str, &Relation)],
     chunks: usize,
 ) -> Result<Vec<Vec<(&'a str, Relation)>>> {
     let mut slots: Vec<Vec<(&str, Relation)>> = vec![Vec::new(); chunks];
     for (name, rel) in bindings {
-        let arity = rel.schema().arity();
         for (c, slot) in slots.iter_mut().enumerate() {
             let lo = c * rel.len() / chunks;
             let hi = (c + 1) * rel.len() / chunks;
-            let words = rel.words()[lo * arity..hi * arity].to_vec();
-            slot.push((
-                name,
-                Relation::from_sorted_words(rel.schema().clone(), words)?,
-            ));
+            slot.push((name, rel.slice_rows(lo..hi)?));
         }
     }
     Ok(slots)

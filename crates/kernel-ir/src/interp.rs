@@ -106,6 +106,13 @@ struct RtSlot {
     lanes: u64,
 }
 
+/// The filled runtime slot `id`, borrowed.
+fn get(slots: &[Option<RtSlot>], id: crate::SlotId) -> Result<&RtSlot> {
+    slots[id.0]
+        .as_ref()
+        .ok_or_else(|| IrError::validation(format!("slot {id} empty at runtime")))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn execute_streaming(
     op: &GpuOperator,
@@ -270,12 +277,6 @@ fn compute_partitions(
     Ok(ranges)
 }
 
-fn sub_relation(rel: &Relation, range: (usize, usize)) -> Result<Relation> {
-    let arity = rel.schema().arity();
-    let words = rel.words()[range.0 * arity..range.1 * arity].to_vec();
-    Ok(Relation::from_sorted_words(rel.schema().clone(), words)?)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn exec_step(
     op: &GpuOperator,
@@ -289,11 +290,6 @@ fn exec_step(
     opt: OptLevel,
 ) -> Result<()> {
     let space = |id: crate::SlotId| op.slot_space(id);
-    let get = |slots: &[Option<RtSlot>], id: crate::SlotId| -> Result<RtSlot> {
-        slots[id.0]
-            .clone()
-            .ok_or_else(|| IrError::validation(format!("slot {id} empty at runtime")))
-    };
 
     // -O0 local-memory spills: unoptimized code round-trips each step's
     // working values through local memory (global DRAM).
@@ -338,7 +334,8 @@ fn exec_step(
 
     match step {
         Step::Load { input, dst } => {
-            let rel = sub_relation(inputs[*input], ranges[cta][*input])?;
+            let (start, end) = ranges[cta][*input];
+            let rel = inputs[*input].slice_rows(start..end)?;
             q.global_bytes_read += rel.byte_size() as u64;
             let lanes = rel.len() as u64;
             charge_write(q, space(*dst), &rel, lanes);
@@ -346,7 +343,7 @@ fn exec_step(
         }
         Step::Filter { src, pred, dst } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             q.alu_ops += s.lanes * pred.alu_ops();
             let rel = ops::select(&s.rel, pred)?;
             // Register destinations keep sparse lanes (idle threads);
@@ -366,7 +363,7 @@ fn exec_step(
             dst,
         } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             q.alu_ops += s.lanes * attrs.len() as u64;
             let rel = ops::project(&s.rel, attrs, *key_arity)?;
             let lanes = if space(*dst) == Space::Register {
@@ -384,7 +381,7 @@ fn exec_step(
             dst,
         } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             let ops_per_tuple: u64 = exprs.iter().map(|e| e.alu_ops() + 1).sum();
             q.alu_ops += s.lanes * ops_per_tuple;
             let rel = ops::compute(&s.rel, exprs, *key_arity)?;
@@ -404,8 +401,8 @@ fn exec_step(
         } => {
             let l = get(slots, *left)?;
             let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
+            charge_read(q, space(*left), l);
+            charge_read(q, space(*right), r);
             let rel = ops::join(&l.rel, &r.rel, *key_len)?;
             q.alu_ops +=
                 (l.rel.len() + r.rel.len()) as u64 * *key_len as u64 + 2 * rel.len() as u64;
@@ -416,8 +413,8 @@ fn exec_step(
         Step::Product { left, right, dst } => {
             let l = get(slots, *left)?;
             let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
+            charge_read(q, space(*left), l);
+            charge_read(q, space(*right), r);
             let rel = ops::product(&l.rel, &r.rel)?;
             q.alu_ops += l.rel.len() as u64 + rel.len() as u64;
             let lanes = rel.len() as u64;
@@ -433,8 +430,8 @@ fn exec_step(
         } => {
             let l = get(slots, *left)?;
             let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
+            charge_read(q, space(*left), l);
+            charge_read(q, space(*right), r);
             let rel = if *negated {
                 ops::anti_join(&l.rel, &r.rel, *key_len)?
             } else {
@@ -456,8 +453,8 @@ fn exec_step(
         } => {
             let l = get(slots, *left)?;
             let r = get(slots, *right)?;
-            charge_read(q, space(*left), &l);
-            charge_read(q, space(*right), &r);
+            charge_read(q, space(*left), l);
+            charge_read(q, space(*right), r);
             let rel = match kind {
                 SetOpKind::Union => ops::union(&l.rel, &r.rel)?,
                 SetOpKind::Intersect => ops::intersect(&l.rel, &r.rel)?,
@@ -472,7 +469,7 @@ fn exec_step(
         }
         Step::Unique { src, dst } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             let rel = ops::unique(&s.rel)?;
             q.alu_ops += s.rel.len() as u64 * s.rel.schema().arity() as u64;
             let lanes = rel.len() as u64;
@@ -481,18 +478,21 @@ fn exec_step(
         }
         Step::Compact { src, dst } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             q.alu_ops += 2 * s.lanes; // prefix-sum scan over allocated lanes
             let lanes = s.rel.len() as u64;
             charge_write(q, space(*dst), &s.rel, lanes);
-            slots[dst.0] = Some(RtSlot { rel: s.rel, lanes });
+            slots[dst.0] = Some(RtSlot {
+                rel: s.rel.clone(),
+                lanes,
+            });
         }
         Step::Barrier => {
             q.barriers += 1;
         }
         Step::Store { src, output } => {
             let s = get(slots, *src)?;
-            charge_read(q, space(*src), &s);
+            charge_read(q, space(*src), s);
             q.global_bytes_written += s.rel.byte_size() as u64;
             out_words[*output].extend_from_slice(s.rel.words());
         }

@@ -38,6 +38,15 @@ pub enum RelationalError {
         /// Index of the first out-of-order tuple.
         index: usize,
     },
+    /// A row range was inverted or ended past the relation's last tuple.
+    RowRangeOutOfBounds {
+        /// First row of the requested range.
+        start: usize,
+        /// One past the last row of the requested range.
+        end: usize,
+        /// Number of tuples in the relation.
+        len: usize,
+    },
     /// A typed value did not match the attribute type it was compared to or
     /// stored into.
     TypeMismatch {
@@ -68,6 +77,9 @@ impl fmt::Display for RelationalError {
             }
             RelationalError::NotSorted { index } => {
                 write!(f, "tuple at index {index} violates key sort order")
+            }
+            RelationalError::RowRangeOutOfBounds { start, end, len } => {
+                write!(f, "row range {start}..{end} invalid for {len} tuples")
             }
             RelationalError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
