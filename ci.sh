@@ -31,11 +31,6 @@ for f in "$trace_dir"/q1.fused.trace.json "$trace_dir"/q1.baseline.trace.json; d
     [ -s "$f" ] || { echo "missing trace export: $f" >&2; exit 1; }
 done
 
-echo "== trace writer edge cases (examples/empty_trace_check.rs)"
-# Empty span lists must serialize to well-formed JSON (regression: trailing
-# comma) and a one-span trace must validate; exits non-zero on INVALID.
-cargo run -q -p kw-examples --example empty_trace_check
-
 echo "== scheduler benchmark JSON (paper_tables -- scheduler)"
 # Runs the multi-query batch experiment into a scratch dir, then re-parses
 # bench_results/BENCH_scheduler.json and checks its required keys; the

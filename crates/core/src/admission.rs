@@ -17,8 +17,8 @@
 //! inputs use their actual bound sizes). The executor sizes its scratch
 //! arena with the same replay, so the predicted peak and the arena
 //! reservation are the same number by construction; an estimate that
-//! under-shoots surfaces as a typed arena overflow (or a counted spill),
-//! handled by the resilient driver's re-admission, not here.
+//! under-shoots surfaces as a counted spill (`kw_arena_spills_total`) in
+//! the executor, not here.
 
 use std::collections::BTreeMap;
 
@@ -174,7 +174,10 @@ fn node_bytes(
 
 /// Reference counts of the executor's buffer liveness: each step counts a
 /// unique input once; every marked plan output holds one extra reference.
-fn buffer_refcounts(plan: &QueryPlan, compiled: &CompiledPlan) -> BTreeMap<NodeId, usize> {
+pub(crate) fn buffer_refcounts(
+    plan: &QueryPlan,
+    compiled: &CompiledPlan,
+) -> BTreeMap<NodeId, usize> {
     let mut refcount: BTreeMap<NodeId, usize> = BTreeMap::new();
     for step in &compiled.steps {
         let mut seen = Vec::new();
@@ -200,9 +203,9 @@ fn buffer_refcounts(plan: &QueryPlan, compiled: &CompiledPlan) -> BTreeMap<NodeI
 /// The executor sizes its upfront [`kw_gpu_sim::ScratchArena`] reservation
 /// with this same replay, so the prediction and the reservation are one
 /// computation: the arena reservation *is* the predicted peak, the memory
-/// tracker charges exactly that, and any misprediction surfaces as a typed
-/// [`kw_gpu_sim::SimError::ArenaOverflow`] (or a counted spill) at the
-/// offending sub-allocation instead of a silent mid-plan OOM.
+/// tracker charges exactly that, and any misprediction surfaces as a
+/// counted spill at the offending sub-allocation instead of a silent
+/// mid-plan OOM.
 ///
 /// [`ArenaLayout`]: kw_gpu_sim::ArenaLayout
 fn predict_peak(

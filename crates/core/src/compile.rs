@@ -29,9 +29,6 @@ pub struct WeaverConfig {
     pub threads_per_cta: u32,
     /// Execution mode (GPU-resident vs PCIe-staged).
     pub mode: ExecMode,
-    /// What to do when a buffer exceeds the scratch-arena reservation
-    /// (i.e. the admission estimates under-predicted the peak).
-    pub arena: crate::ArenaPolicy,
 }
 
 impl Default for WeaverConfig {
@@ -43,7 +40,6 @@ impl Default for WeaverConfig {
             input_dependence: true,
             threads_per_cta: DEFAULT_THREADS_PER_CTA,
             mode: ExecMode::Resident,
-            arena: crate::ArenaPolicy::default(),
         }
     }
 }

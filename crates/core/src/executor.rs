@@ -37,10 +37,10 @@
 //! [`kw_gpu_sim::MemoryTracker::peak`] equals the admission report's peak
 //! bit-exactly by construction. A sub-allocation that exceeds the
 //! reservation means the row estimates under-shot (duplicate-heavy joins
-//! are the one under-estimating case); [`ArenaPolicy`] decides whether
-//! that spills to a real device allocation (counted in
-//! `kw_arena_spills_total`) or fails with the typed
-//! [`kw_gpu_sim::SimError::ArenaOverflow`] for the resilient ladder.
+//! are the one under-estimating case); it spills to a real device
+//! allocation with its own alloc/free spans, counted in
+//! `kw_arena_spills_total`, so mispredictions stay loud in the trace and
+//! metrics while the query still completes.
 
 use std::collections::BTreeMap;
 
@@ -63,24 +63,6 @@ pub enum ExecMode {
     /// Inputs exceed GPU memory; stage every operator over PCIe (the
     /// Figure 21 setup).
     Staged,
-}
-
-/// What the executor does when a sub-allocation exceeds the scratch-arena
-/// reservation — i.e. when the admission row estimates under-predicted the
-/// true footprint (join outputs beyond `max(|L|, |R|)` rows are the one
-/// under-estimating case).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArenaPolicy {
-    /// Fall back to a real per-buffer device allocation for the oversized
-    /// request. Each spill emits its own alloc/free spans and increments
-    /// `kw_arena_spills_total`, so mispredictions stay loud in the trace
-    /// and metrics while the query still completes.
-    #[default]
-    Spill,
-    /// Propagate the typed [`kw_gpu_sim::SimError::ArenaOverflow`]. The
-    /// overflow is a capacity error, so under the resilient driver it
-    /// drops the run one ladder rung instead of silently OOMing mid-plan.
-    Strict,
 }
 
 /// The result of executing a plan.
@@ -264,23 +246,9 @@ pub(crate) fn execute_compiled_sized(
         }
         Err(e) => {
             // Cleanup guard: any early error return would otherwise leak
-            // the arena and its spills, leaving the device unusable for a
-            // retry or a degraded re-execution. Unwind any provenance
-            // scopes the failed run left pushed and drain in-flight
-            // streamed staging so the retry's clock starts from a settled
-            // makespan. Arena slices need no individual release — the
-            // backing reservation goes back in one piece — and free errors
-            // during unwind are counted on the device, not propagated: the
-            // original error is the one worth reporting.
-            device.truncate_scope(scope_depth);
-            device.sync_streams();
-            for slot in live.drain() {
-                if let Slot::Spill(buf, _) = slot {
-                    if let Err(fe) = device.free(buf) {
-                        device.note_free_error(&fe);
-                    }
-                }
-            }
+            // the arena, leaving the device unusable for a retry or a
+            // degraded re-execution.
+            unwind_failed_run(device, scope_depth, &mut live);
             if let Err(fe) = device.release_arena(arena) {
                 device.note_free_error(&fe);
             }
@@ -325,25 +293,36 @@ pub(crate) fn execute_compiled_in_arena(
             Ok(report)
         }
         Err(e) => {
-            device.truncate_scope(scope_depth);
-            device.sync_streams();
-            for slot in live.drain() {
-                if let Slot::Spill(buf, _) = slot {
-                    if let Err(fe) = device.free(buf) {
-                        device.note_free_error(&fe);
-                    }
-                }
-            }
+            unwind_failed_run(device, scope_depth, &mut live);
             arena.reset();
             Err(e)
         }
     }
 }
 
+/// Error-path cleanup shared by both arena entry points: unwind the
+/// provenance scopes the failed run left pushed, drain in-flight streamed
+/// staging so a retry's clock starts from a settled makespan, and free the
+/// run's spills. Arena slices need no individual release — the caller
+/// returns or resets the whole reservation — and free errors are counted
+/// on the device, not propagated: the original error is the one worth
+/// reporting.
+fn unwind_failed_run(device: &mut Device, scope_depth: usize, live: &mut LiveBuffers) {
+    device.truncate_scope(scope_depth);
+    device.sync_streams();
+    for slot in live.drain() {
+        if let Slot::Spill(buf, _) = slot {
+            if let Err(fe) = device.free(buf) {
+                device.note_free_error(&fe);
+            }
+        }
+    }
+}
+
 /// One live buffer of an in-flight execution: a span-free arena slice, or
 /// a real device allocation the arena could not hold (an admission
-/// under-prediction running under [`ArenaPolicy::Spill`], with its byte
-/// size retained for footprint accounting).
+/// under-prediction, with its byte size retained for footprint
+/// accounting).
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Arena(ArenaSlice),
@@ -392,13 +371,12 @@ impl Footprint {
 }
 
 /// Sub-allocate `bytes` from the arena, spilling to a real device
-/// allocation under [`ArenaPolicy::Spill`] when the reservation is
-/// exhausted (`kw_arena_spills_total` counts every such misprediction).
+/// allocation when the reservation is exhausted (`kw_arena_spills_total`
+/// counts every such misprediction).
 fn acquire_slot(
     device: &mut Device,
     arena: &mut ScratchArena,
     fp: &mut Footprint,
-    policy: ArenaPolicy,
     bytes: u64,
     label: impl FnOnce() -> String,
 ) -> Result<Slot> {
@@ -407,10 +385,7 @@ fn acquire_slot(
             fp.note(arena);
             Ok(Slot::Arena(slice))
         }
-        Err(e @ SimError::ArenaOverflow { .. }) => {
-            if policy == ArenaPolicy::Strict {
-                return Err(e.into());
-            }
+        Err(SimError::ArenaOverflow { .. }) => {
             let buf = device.alloc(bytes, label())?;
             device.metrics_mut().inc("kw_arena_spills_total", 1);
             fp.spill_in_use += bytes;
@@ -470,21 +445,8 @@ fn run_compiled(
 
     // How many steps consume each node, plus one virtual consumer for plan
     // outputs (kept on device until the final transfer in resident mode).
-    // MUST mirror `admission::buffer_refcounts`: the predictor replays this
-    // exact schedule to size the arena reservation.
-    let mut refcount: BTreeMap<NodeId, usize> = BTreeMap::new();
-    for step in &compiled.steps {
-        let mut seen = Vec::new();
-        for &i in &step.inputs {
-            if !seen.contains(&i) {
-                seen.push(i);
-                *refcount.entry(i).or_insert(0) += 1;
-            }
-        }
-    }
-    for &o in plan.outputs() {
-        *refcount.entry(o).or_insert(0) += 1;
-    }
+    // The admission predictor replays the same counts to size the arena.
+    let mut refcount = crate::admission::buffer_refcounts(plan, compiled);
 
     let mut fp = Footprint::new(base_in_use);
 
@@ -509,9 +471,7 @@ fn run_compiled(
         {
             let rel = &values[&id];
             let bytes = rel.byte_size() as u64;
-            let slot = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                format!("input.{id}")
-            })?;
+            let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("input.{id}"))?;
             live.by_node.insert(id, slot);
             if let Some((h2d, _)) = copy_streams {
                 device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
@@ -538,9 +498,7 @@ fn run_compiled(
                         WeaverError::plan(format!("step input {i} not yet computed"))
                     })?;
                     let bytes = rel.byte_size() as u64;
-                    let s = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                        format!("staged.{i}")
-                    })?;
+                    let s = acquire_slot(device, arena, &mut fp, bytes, || format!("staged.{i}"))?;
                     slot.insert(s);
                     // The bytes being re-staged come off the download that
                     // returned them to the host — the upload cannot start
@@ -576,15 +534,13 @@ fn run_compiled(
 
         // Acquire gather scratch + final output buffers.
         let out_bytes: u64 = result.outputs.iter().map(|r| r.byte_size() as u64).sum();
-        let scratch = acquire_slot(device, arena, &mut fp, config.arena, out_bytes, || {
+        let scratch = acquire_slot(device, arena, &mut fp, out_bytes, || {
             format!("{}.scratch", step.op.label)
         })?;
         live.scratch = Some(scratch);
         for (rel, &node) in result.outputs.iter().zip(&step.outputs) {
             let bytes = rel.byte_size() as u64;
-            let slot = acquire_slot(device, arena, &mut fp, config.arena, bytes, || {
-                format!("result.{node}")
-            })?;
+            let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("result.{node}"))?;
             live.by_node.insert(node, slot);
         }
         live.scratch = None;
@@ -909,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_policy_surfaces_typed_overflow_and_spill_completes() {
+    fn arena_overflow_spills_and_completes() {
         let (l, r) = all_collide_inputs(600, 400);
         let mut plan = QueryPlan::new();
         let x = plan.add_input("x", l.schema().clone());
@@ -918,27 +874,15 @@ mod tests {
         plan.mark_output(j);
         let bindings: &[(&str, &Relation)] = &[("x", &l), ("y", &r)];
 
-        // Strict: the quadratic output cannot fit the max(|L|,|R|)-sized
-        // reservation — the run dies with the typed overflow (a capacity
-        // error the ladder understands) and leaks nothing.
-        let strict = WeaverConfig {
-            arena: ArenaPolicy::Strict,
-            ..WeaverConfig::default()
-        };
+        // The quadratic output cannot fit the max(|L|,|R|)-sized
+        // reservation: the run spills, counts the mispredictions, and
+        // still matches the oracle byte-for-byte.
         let mut d = device();
-        let err = execute_plan(&plan, bindings, &mut d, &strict).unwrap_err();
-        assert!(err.is_capacity(), "{err}");
-        assert!(err.to_string().contains("arena overflow"), "{err}");
-        assert_eq!(d.memory().in_use(), 0, "strict failure must not leak");
-
-        // The default Spill policy completes the same query, counts the
-        // mispredictions, and matches the oracle byte-for-byte.
-        let mut d2 = device();
-        let report = execute_plan(&plan, bindings, &mut d2, &WeaverConfig::default()).unwrap();
+        let report = execute_plan(&plan, bindings, &mut d, &WeaverConfig::default()).unwrap();
         let oracle = ops::join(&l, &r, 1).unwrap();
         assert_eq!(report.outputs[&j], oracle);
-        assert!(d2.metrics().counter("kw_arena_spills_total") > 0);
-        assert_eq!(d2.memory().in_use(), 0);
+        assert!(d.metrics().counter("kw_arena_spills_total") > 0);
+        assert_eq!(d.memory().in_use(), 0);
         // Spills are real allocations: the actual footprint exceeded the
         // reservation envelope and the report says so.
         let arena = report.arena.unwrap();

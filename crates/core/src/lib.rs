@@ -85,7 +85,7 @@ pub use chunked::{
 pub use compile::{compile, CompiledPlan, CompiledStep, WeaverConfig};
 pub use dot::plan_to_dot;
 pub use error::{LadderStop, Result, WeaverError};
-pub use executor::{execute_compiled, execute_plan, ArenaPolicy, ExecMode, PlanReport};
+pub use executor::{execute_compiled, execute_plan, ExecMode, PlanReport};
 pub use plan::{NodeId, PlanNode, QueryPlan};
 pub use plan_cache::{plan_shape_key, shape_fingerprint, PlanCache, PlanCacheStats};
 pub use profile::{Bottleneck, OperatorProfile, ProfileReport};

@@ -1,11 +1,11 @@
 //! The simulated device facade.
 //!
-//! [`Device`] owns the memory tracker, statistics and event timeline, and is
-//! the single place where kernel launches and PCIe transfers are charged.
+//! [`Device`] owns the memory tracker, statistics and span log, and is the
+//! single place where kernel launches and PCIe transfers are charged.
 
 use crate::{
-    kernel_cost, pcie_seconds, ArenaStats, BufferId, DeviceConfig, Direction, Engine, Event,
-    EventId, FaultConfig, FaultInjector, FaultKind, KernelCost, KernelQuantities, KernelResources,
+    kernel_cost, pcie_seconds, ArenaStats, BufferId, DeviceConfig, Direction, Engine, EventId,
+    FaultConfig, FaultInjector, FaultKind, KernelCost, KernelQuantities, KernelResources,
     LaunchDims, MemoryTracker, MetricsRegistry, Result, ScratchArena, SimError, SimStats, Span,
     SpanKind, StreamId, StreamModel,
 };
@@ -34,7 +34,6 @@ pub struct Device {
     config: DeviceConfig,
     memory: MemoryTracker,
     stats: SimStats,
-    timeline: Vec<Event>,
     faults: Option<FaultInjector>,
     /// Structured trace: one span per charged operation (see [`Span`]).
     spans: Vec<Span>,
@@ -65,7 +64,6 @@ impl Device {
             config,
             memory,
             stats: SimStats::default(),
-            timeline: Vec::new(),
             faults: None,
             spans: Vec::new(),
             scope: Vec::new(),
@@ -104,16 +102,12 @@ impl Device {
     }
 
     /// Whether an injected fault fires for the next operation of `kind`;
-    /// when it does, the fault is recorded in the stats, timeline and trace.
+    /// when it does, the fault is recorded in the stats and trace.
     fn fault_fires(&mut self, kind: FaultKind, label: &str) -> bool {
         let fires = self.faults.as_mut().is_some_and(|f| f.should_fault(kind));
         if fires {
             let before = self.stats;
             self.stats.faults_injected += 1;
-            self.timeline.push(Event::Fault {
-                kind,
-                label: label.to_string(),
-            });
             self.record_span(
                 SpanKind::Fault,
                 format!("fault.{}:{label}", kind.name()),
@@ -268,18 +262,12 @@ impl Device {
         &self.memory
     }
 
-    /// The recorded event timeline.
-    pub fn timeline(&self) -> &[Event] {
-        &self.timeline
-    }
-
-    /// Reset statistics, timeline, trace spans, the trace clock, the
+    /// Reset statistics, trace spans, the trace clock, the
     /// stream scheduler and the metrics registry (allocations and the
     /// provenance scope stack survive; outstanding
     /// [`StreamId`]/[`EventId`] handles go stale).
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::default();
-        self.timeline.clear();
         self.spans.clear();
         self.clock_cycles = 0;
         self.reconciled = SimStats::default();
@@ -299,10 +287,6 @@ impl Device {
             return Err(SimError::AllocFault { requested: bytes });
         }
         let id = self.memory.alloc(bytes, label.clone())?;
-        self.timeline.push(Event::Alloc {
-            label: label.clone(),
-            bytes,
-        });
         let before = self.stats;
         self.record_span(SpanKind::Alloc, label, before, 0);
         self.publish_memory_gauges();
@@ -317,7 +301,6 @@ impl Device {
     pub fn free(&mut self, id: BufferId) -> Result<()> {
         let bytes = self.memory.size_of(id)?;
         self.memory.free(id)?;
-        self.timeline.push(Event::Free { bytes });
         let before = self.stats;
         self.record_span(SpanKind::Free, format!("free.{bytes}B"), before, 0);
         self.publish_memory_gauges();
@@ -420,8 +403,8 @@ impl Device {
         Ok(cost)
     }
 
-    /// Fault-check, price and charge one kernel execution to the stats and
-    /// timeline. Span recording is left to the caller: serial launches
+    /// Fault-check, price and charge one kernel execution to the stats.
+    /// Span recording is left to the caller: serial launches
     /// advance the trace clock, streamed launches take their interval from
     /// the stream scheduler.
     fn charge_kernel(
@@ -462,15 +445,6 @@ impl Device {
             self.stats.cycles_consistent(),
             "gpu_cycles drifted from its component cycle counters after kernel {label:?}"
         );
-
-        self.timeline.push(Event::Kernel {
-            label: label.to_string(),
-            cycles: cost.total_cycles(),
-            global_cycles: cost.global_cycles,
-            occupancy: cost.occupancy,
-            grid_ctas: dims.grid_ctas,
-            threads_per_cta: dims.threads_per_cta,
-        });
         Ok((before, cost))
     }
 
@@ -491,9 +465,8 @@ impl Device {
         Ok(seconds)
     }
 
-    /// Fault-check, price and charge one PCIe transfer to the stats and
-    /// timeline (span recording left to the caller, as with
-    /// [`Device::charge_kernel`]).
+    /// Fault-check, price and charge one PCIe transfer to the stats (span
+    /// recording left to the caller, as with [`Device::charge_kernel`]).
     fn charge_transfer(&mut self, direction: Direction, bytes: u64) -> Result<(SimStats, f64)> {
         if self.fault_fires(FaultKind::Transfer, &format!("{direction:?}")) {
             return Err(SimError::TransferFault { direction, bytes });
@@ -511,11 +484,6 @@ impl Device {
             }
         }
         self.stats.pcie_seconds += seconds;
-        self.timeline.push(Event::Transfer {
-            direction,
-            bytes,
-            seconds,
-        });
         Ok((before, seconds))
     }
 
@@ -523,7 +491,6 @@ impl Device {
     pub fn charge_backoff(&mut self, seconds: f64) {
         let before = self.stats;
         self.stats.backoff_seconds += seconds;
-        self.timeline.push(Event::Backoff { seconds });
         self.record_span(
             SpanKind::Backoff,
             "backoff".to_string(),
@@ -549,8 +516,8 @@ impl Device {
 
     /// Launch a kernel asynchronously on `stream`.
     ///
-    /// Charges exactly what [`Device::launch`] charges (stats, timeline,
-    /// fault injection, reconcilable span), but the span's interval comes
+    /// Charges exactly what [`Device::launch`] charges (stats, fault
+    /// injection, reconcilable span), but the span's interval comes
     /// from the stream scheduler and the serial trace clock does not
     /// advance — call [`Device::sync_streams`] to realize the wallclock.
     ///
@@ -760,7 +727,11 @@ mod tests {
         assert_eq!(d.stats().kernel_launches, 1);
         assert_eq!(d.stats().global_bytes_read, 1 << 20);
         assert!(d.stats().gpu_cycles > 0);
-        assert_eq!(d.timeline().len(), 1);
+        let [span] = d.spans() else {
+            panic!("one launch records one span: {:?}", d.spans())
+        };
+        assert_eq!((span.kind, span.label.as_str()), (SpanKind::Kernel, "k1"));
+        assert_eq!(span.delta.gpu_cycles, d.stats().gpu_cycles);
         assert!(d.gpu_seconds() > 0.0);
     }
 
@@ -800,7 +771,8 @@ mod tests {
         let mut d = device();
         let b = d.alloc(1024, "x").unwrap();
         d.free(b).unwrap();
-        assert_eq!(d.timeline().len(), 2);
+        let kinds: Vec<SpanKind> = d.spans().iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Alloc, SpanKind::Free]);
         assert_eq!(d.memory().peak(), 1024);
     }
 
@@ -867,7 +839,7 @@ mod tests {
         d.transfer(Direction::HostToDevice, 100).unwrap();
         d.reset_stats();
         assert_eq!(d.stats().pcie_bytes(), 0);
-        assert!(d.timeline().is_empty());
+        assert!(d.spans().is_empty());
         assert_eq!(d.memory().in_use(), 1024);
     }
 
@@ -883,13 +855,8 @@ mod tests {
         assert!(err.is_transient());
         assert_eq!(d.stats().h2d_transfers, 0);
         assert_eq!(d.stats().faults_injected, 1);
-        assert!(matches!(
-            d.timeline()[0],
-            Event::Fault {
-                kind: crate::FaultKind::Transfer,
-                ..
-            }
-        ));
+        assert_eq!(d.spans()[0].kind, SpanKind::Fault);
+        assert_eq!(d.spans()[0].label, "fault.transfer:HostToDevice");
         // The retry (attempt 1) succeeds.
         assert!(d.transfer(Direction::HostToDevice, 1 << 20).is_ok());
     }
@@ -932,7 +899,7 @@ mod tests {
         let before = d.total_seconds();
         d.charge_backoff(0.125);
         assert!((d.total_seconds() - before - 0.125).abs() < 1e-12);
-        assert!(matches!(d.timeline()[0], Event::Backoff { .. }));
+        assert_eq!(d.spans()[0].kind, SpanKind::Backoff);
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! A tiny JSON value parser for the bench-regression harness.
+//! A tiny JSON value parser: the crate's only JSON reader.
 //!
-//! The trace layer already carries a validating parser
-//! ([`validate_json`](crate::validate_json)), but validation is all it
-//! does — it never materializes values. The regression gate needs to
-//! *compare* two `BENCH_*.json` documents metric-by-metric, so this
-//! module parses JSON into a [`JsonValue`] tree. It is deliberately
-//! minimal (the workspace carries no serde): numbers become `f64`,
-//! objects preserve key order as written, and errors carry a byte
-//! offset for debugging hand-rolled writers.
+//! The bench-regression gate parses two `BENCH_*.json` documents into
+//! [`JsonValue`] trees to compare them metric-by-metric, and the trace
+//! layer's validators ([`validate_json`](crate::validate_json),
+//! [`validate_chrome_json`](crate::validate_chrome_json)) are checks
+//! over the same tree. It is deliberately minimal (the workspace carries
+//! no serde): numbers become `f64`, objects preserve key order as
+//! written, and errors carry a byte offset for debugging hand-rolled
+//! writers.
 
 /// Maximum nesting depth [`parse_json`] accepts before reporting an
 /// error instead of recursing further. Our exporters nest a handful of

@@ -41,7 +41,6 @@ mod occupancy;
 mod pcie;
 mod stats;
 mod stream;
-mod timeline;
 mod trace;
 
 pub use arena::{ArenaLayout, ArenaSlice, ArenaStats, ScratchArena};
@@ -57,8 +56,7 @@ pub use occupancy::{occupancy, Occupancy, OccupancyLimiter};
 pub use pcie::{pcie_seconds, Direction};
 pub use stats::SimStats;
 pub use stream::{Engine, EventId, StreamId, StreamModel, StreamOp};
-pub use timeline::{cycles_for_label, label_matches, Event};
 pub use trace::{
-    chrome_trace_json, operator_summary, reconcile, sum_deltas, summary_table,
-    validate_chrome_json, validate_json, OperatorSummary, Span, SpanKind, TraceSink,
+    chrome_trace_json, cycles_for_label, label_matches, operator_summary, reconcile, sum_deltas,
+    summary_table, validate_chrome_json, validate_json, OperatorSummary, Span, SpanKind, TraceSink,
 };

@@ -15,6 +15,10 @@
 //! twice, fails the invariant. Debug builds enforce it after every recorded
 //! span.
 //!
+//! The span log is the device's only per-operation record: per-operator
+//! breakdowns such as the paper's "SORT is ~71% of Q1" fold kernel spans by
+//! label ([`cycles_for_label`]).
+//!
 //! [`TraceSink`] exports a span list as Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) and as a per-operator summary table.
 
@@ -23,7 +27,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::{Engine, SimStats};
+use crate::{parse_json, Engine, JsonValue, SimStats};
 
 /// What kind of device operation a [`Span`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,267 +428,93 @@ pub fn chrome_trace_json(spans: &[Span], clock_ghz: f64) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON validation (the build environment is offline, so the schema
-// check in ci.sh cannot shell out to a JSON tool).
-// ---------------------------------------------------------------------------
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    /// `"X"`/`"i"` trace events seen inside the `traceEvents` array.
-    events: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("invalid JSON at byte {}: {msg}", self.pos)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' | b'f' => out.push(' '),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (already-valid input: the
-                    // caller handed us a &str).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.err("bad number"))
-    }
-
-    /// Parse any JSON value; `in_trace_events` marks object members of the
-    /// `traceEvents` array so they are schema-checked as trace events.
-    fn parse_value(&mut self, in_trace_events: bool) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.parse_object(in_trace_events),
-            b'[' => self.parse_array(false),
-            b'"' => self.parse_string().map(|_| ()),
-            b't' => self.parse_lit("true"),
-            b'f' => self.parse_lit("false"),
-            b'n' => self.parse_lit("null"),
-            _ => self.parse_number().map(|_| ()),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn parse_array(&mut self, trace_events: bool) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.parse_value(trace_events)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    /// Parse an object. When `trace_event` is set, require the trace-event
-    /// schema: a string `ph`, a string `name`, and for `"X"`/`"i"` phases a
-    /// numeric `ts`.
-    fn parse_object(&mut self, trace_event: bool) -> Result<(), String> {
-        self.expect(b'{')?;
-        let mut ph: Option<String> = None;
-        let mut has_name = false;
-        let mut has_ts = false;
-        let mut trace_events_seen = false;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                self.skip_ws();
-                let key = self.parse_string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                match key.as_str() {
-                    "traceEvents" if self.peek() == Some(b'[') => {
-                        trace_events_seen = true;
-                        self.parse_array(true)?;
-                    }
-                    "ph" if self.peek() == Some(b'"') => ph = Some(self.parse_string()?),
-                    "name" if self.peek() == Some(b'"') => {
-                        has_name = true;
-                        self.parse_string()?;
-                    }
-                    "ts" => {
-                        has_ts = self.peek() != Some(b'"');
-                        self.parse_value(false)?;
-                    }
-                    _ => self.parse_value(false)?,
-                }
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        if trace_event {
-            let ph = ph.ok_or_else(|| self.err("trace event missing \"ph\""))?;
-            if !has_name {
-                return Err(self.err("trace event missing \"name\""));
-            }
-            if matches!(ph.as_str(), "X" | "i") {
-                if !has_ts {
-                    return Err(self.err("trace event missing numeric \"ts\""));
-                }
-                self.events += 1;
-            }
-        }
-        let _ = trace_events_seen;
-        Ok(())
-    }
-}
-
 /// Validate that `text` is one well-formed JSON document (any value shape,
 /// no schema requirements beyond syntax). The bench harness uses this to
 /// gate its machine-readable result files in the offline CI environment.
 ///
 /// # Errors
 ///
-/// Returns a message locating the first syntax violation.
+/// Returns the [`parse_json`] error: what failed and at which byte.
 pub fn validate_json(text: &str) -> Result<(), String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        events: 0,
-    };
-    p.parse_value(false)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after JSON document"));
-    }
-    Ok(())
+    parse_json(text).map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Validate that `text` is well-formed Chrome trace-event JSON: a top-level
-/// object whose `traceEvents` array members each carry a `ph`, a `name`, and
-/// (for durable/instant phases) a numeric `ts`.
+/// object whose `traceEvents` array members each carry a string `ph`, a
+/// string `name`, and (for durable/instant phases) a numeric `ts`.
 ///
 /// Returns the number of non-metadata trace events.
 ///
 /// # Errors
 ///
-/// Returns a message locating the first syntax or schema violation.
+/// Returns a message naming the first syntax or schema violation.
 pub fn validate_chrome_json(text: &str) -> Result<usize, String> {
-    let mut p = JsonParser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        events: 0,
-    };
-    p.skip_ws();
-    if p.peek() != Some(b'{') {
-        return Err(p.err("expected top-level object"));
+    let doc = parse_json(text).map_err(|e| e.to_string())?;
+    if doc.entries().is_none() {
+        return Err("expected top-level object".to_string());
     }
-    p.parse_object(false)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content after JSON document"));
+    let members = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .unwrap_or(&[]);
+    let mut events = 0;
+    for (i, ev) in members.iter().enumerate() {
+        let ph = ev
+            .get("ph")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("trace event {i} missing string \"ph\""))?;
+        if ev.get("name").and_then(JsonValue::as_str).is_none() {
+            return Err(format!("trace event {i} missing string \"name\""));
+        }
+        if matches!(ph, "X" | "i") {
+            if ev.get("ts").and_then(JsonValue::as_f64).is_none() {
+                return Err(format!("trace event {i} missing numeric \"ts\""));
+            }
+            events += 1;
+        }
     }
-    if p.events == 0 {
+    if events == 0 {
         return Err("trace contains no events".to_string());
     }
-    Ok(p.events)
+    Ok(events)
+}
+
+/// Whether `label` matches `needle` under delimiter-aware matching: either
+/// the full label equals the needle, or the needle's `.`-separated segments
+/// appear as a contiguous run of the label's segments.
+///
+/// Substring matching is deliberately *not* used: `"join"` must not count
+/// `"n5.semijoin.compute"` kernels, which a `contains`-based filter silently
+/// did.
+///
+/// ```
+/// use kw_gpu_sim::label_matches;
+/// assert!(label_matches("n7.sort.pass3", "sort"));
+/// assert!(label_matches("n7.sort.pass3", "n7.sort"));
+/// assert!(!label_matches("n5.semijoin.compute", "join"));
+/// assert!(!label_matches("n7.sort.pass3", "sort.compute"));
+/// ```
+pub fn label_matches(label: &str, needle: &str) -> bool {
+    if label == needle {
+        return true;
+    }
+    let segs: Vec<&str> = label.split('.').collect();
+    let want: Vec<&str> = needle.split('.').filter(|s| !s.is_empty()).collect();
+    if want.is_empty() || want.len() > segs.len() {
+        return false;
+    }
+    segs.windows(want.len()).any(|w| w == want.as_slice())
+}
+
+/// Sum the GPU cycles of all kernel spans whose label matches `needle`
+/// (see [`label_matches`] — exact segment matching, not substring). This
+/// is the per-operator breakdown behind the paper's "SORT is ~71% of Q1".
+pub fn cycles_for_label(spans: &[Span], needle: &str) -> u64 {
+    spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Kernel && label_matches(&s.label, needle))
+        .map(|s| s.delta.gpu_cycles)
+        .sum()
 }
 
 /// Writes traces captured from a [`crate::Device`] to a directory.
@@ -936,6 +766,73 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"x\",\"ph\":\"X\",\"ts\":1,\"dur\":1}]} junk"
         )
         .is_err());
+    }
+
+    #[test]
+    fn validator_rejects_non_numeric_ts() {
+        for ts in ["null", "[1]", "{}", "true"] {
+            let json = format!("{{\"traceEvents\":[{{\"name\":\"x\",\"ph\":\"X\",\"ts\":{ts}}}]}}");
+            let err = validate_chrome_json(&json).unwrap_err();
+            assert!(err.contains("numeric \"ts\""), "ts:{ts} got: {err}");
+        }
+    }
+
+    #[test]
+    fn validators_reject_deep_nesting_without_overflowing() {
+        let bomb = "[".repeat(200_000);
+        let err = validate_json(&bomb).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+        let err = validate_chrome_json(&format!("{{\"traceEvents\":{bomb}")).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "got: {err}");
+    }
+
+    fn kernels(labelled: &[(&str, u64)]) -> Vec<Span> {
+        labelled
+            .iter()
+            .map(|&(label, cycles)| {
+                span(
+                    SpanKind::Kernel,
+                    label,
+                    "",
+                    0,
+                    cycles,
+                    kernel_delta(cycles, 0),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn label_filtering() {
+        let mut spans = kernels(&[
+            ("sort.partition", 10),
+            ("sort.compute", 20),
+            ("select.compute", 5),
+        ]);
+        // Only kernel spans count, even when another kind shares the label.
+        spans.push(span(SpanKind::Alloc, "sort", "", 35, 0, kernel_delta(7, 0)));
+        assert_eq!(cycles_for_label(&spans, "sort"), 30);
+        assert_eq!(cycles_for_label(&spans, "select"), 5);
+    }
+
+    #[test]
+    fn matching_is_segment_exact_not_substring() {
+        let spans = kernels(&[
+            ("n4.join.compute", 100),
+            ("n5.semijoin.compute", 10),
+            ("n6.antijoin.gather", 1),
+        ]);
+        // "join" previously (substring matching) counted all three.
+        assert_eq!(cycles_for_label(&spans, "join"), 100);
+        assert_eq!(cycles_for_label(&spans, "semijoin"), 10);
+        // Dotted needles match contiguous segment runs, with or without the
+        // legacy surrounding dots.
+        assert_eq!(cycles_for_label(&spans, "n4.join"), 100);
+        assert_eq!(cycles_for_label(&spans, ".join."), 100);
+        assert_eq!(cycles_for_label(&spans, "join.gather"), 0);
+        // A needle longer than the label never matches.
+        assert!(!label_matches("sort", "n7.sort"));
+        assert!(label_matches("sort", "sort"));
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn execute_streaming(
         PartitionSpec::KeyRange { pivot, .. } => pivot,
     };
     let n_pivot = inputs.get(pivot_index).map_or(0, |r| r.len());
-    let grid = ((n_pivot as u64).div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_ctas(n_pivot as u64, threads);
     let dims = LaunchDims::new(grid, threads);
 
     // ---- Partition stage -------------------------------------------------
@@ -531,6 +531,14 @@ fn cta_threads(op: &GpuOperator, device: &Device) -> u32 {
         .min(device.config().max_threads_per_cta)
 }
 
+/// CTAs needed to cover `tuples` at `threads` per CTA: at least one (empty
+/// inputs still launch) and at most [`MAX_GRID_CTAS`].
+fn grid_ctas(tuples: u64, threads: u32) -> u32 {
+    tuples
+        .div_ceil(u64::from(threads))
+        .clamp(1, u64::from(MAX_GRID_CTAS)) as u32
+}
+
 /// Charge a multi-pass radix sort over `input` and return kernels launched.
 fn sort_cost(
     op: &GpuOperator,
@@ -541,7 +549,7 @@ fn sort_cost(
     let n = input.len() as u64;
     let bytes = input.byte_size() as u64;
     let threads = cta_threads(op, device);
-    let grid = (n.div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_ctas(n, threads);
     let passes = SORT_PASSES_PER_ATTR * key_attrs;
     let res = KernelResources {
         registers_per_thread: 24,
@@ -583,7 +591,7 @@ fn execute_aggregate(
     // Phase 2: segmented reduction.
     let n = input.len() as u64;
     let threads = cta_threads(op, device);
-    let grid = (n.div_ceil(u64::from(threads)) as u32).clamp(1, MAX_GRID_CTAS);
+    let grid = grid_ctas(n, threads);
     let alu_per_tuple: u64 = aggs.iter().map(|a| a.alu_ops()).sum::<u64>().max(1);
     let q = KernelQuantities {
         global_bytes_read: input.byte_size() as u64,
@@ -623,6 +631,19 @@ mod tests {
 
     fn device() -> Device {
         Device::new(DeviceConfig::fermi_c2050())
+    }
+
+    #[test]
+    fn grid_is_never_zero_and_clamps_at_the_cuda_limit() {
+        assert_eq!(grid_ctas(0, 256), 1);
+        assert_eq!(grid_ctas(1, 256), 1);
+        assert_eq!(grid_ctas(257, 256), 2);
+        let limit = u64::from(MAX_GRID_CTAS);
+        assert_eq!(grid_ctas(limit, 1), MAX_GRID_CTAS);
+        assert_eq!(grid_ctas(limit + 1, 1), MAX_GRID_CTAS);
+        // Far past u32 range: clamps rather than wrapping to 0.
+        assert_eq!(grid_ctas(1 << 40, 256), MAX_GRID_CTAS);
+        assert_eq!(grid_ctas(u64::MAX, 1), MAX_GRID_CTAS);
     }
 
     fn select_op(schema: Schema, pred: Predicate) -> GpuOperator {

@@ -105,7 +105,7 @@ impl OperatorBody {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GpuOperator {
-    /// Diagnostic label (used in timeline events).
+    /// Diagnostic label (prefixes the kernel span labels).
     pub label: String,
     /// Schemas of the global inputs, in order.
     pub inputs: Vec<Schema>,

@@ -356,7 +356,7 @@ mod tests {
         let w = q1(4.0, 3);
         let mut d = device();
         let _ = w.run(&mut d, &WeaverConfig::default().baseline()).unwrap();
-        let sort_cycles = cycles_for_label(d.timeline(), "sort");
+        let sort_cycles = cycles_for_label(d.spans(), "sort");
         let total: u64 = d.stats().gpu_cycles;
         let frac = sort_cycles as f64 / total as f64;
         assert!(

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Cost breakdown of the baseline: SORT dominates (paper: ~71%).
-    let base_sort = cycles_for_label(base_dev.timeline(), "sort");
+    let base_sort = cycles_for_label(base_dev.spans(), "sort");
     let base_total = base.stats.gpu_cycles;
     println!(
         "\nbaseline: {} operators, {} kernels; SORT = {:.0}% of GPU cycles",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base.stats.kernel_launches,
         100.0 * base_sort as f64 / base_total as f64
     );
-    let fused_sort = cycles_for_label(fused_dev.timeline(), "sort");
+    let fused_sort = cycles_for_label(fused_dev.spans(), "sort");
     println!(
         "fusion: overall {:.2}x speedup; {:.2}x on the non-SORT operators \
          (paper: 1.25x / 3.18x)",
