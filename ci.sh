@@ -12,6 +12,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --no-deps (rustdoc warnings are errors)"
+# Catches broken intra-doc links, e.g. a doc comment still naming a field
+# or method that a refactor deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -p kw-bench -p kw-core \
+    -p kw-datalog -p kw-gpu-sim -p kw-kernel-ir -p kw-primitives -p kw-relational -p kw-tpch
+
 echo "== cargo build --release"
 # The tier-1 gate builds release before testing; catching release-only
 # breakage (e.g. debug_assert-guarded code) locally keeps CI honest.

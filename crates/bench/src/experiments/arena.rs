@@ -66,8 +66,8 @@ pub fn patterns() -> [Pattern; 4] {
     [Pattern::A, Pattern::B, Pattern::C, Pattern::D]
 }
 
-fn span_count(report: &kw_core::PlanReport, kind: SpanKind) -> u64 {
-    report.spans.iter().filter(|s| s.kind == kind).count() as u64
+fn span_count(device: &kw_gpu_sim::Device, kind: SpanKind) -> u64 {
+    device.spans().iter().filter(|s| s.kind == kind).count() as u64
 }
 
 /// Run the campaign at `n` tuples per input.
@@ -95,10 +95,10 @@ pub fn run(n: usize) -> Vec<Row> {
             + base_dev.metrics().counter("kw_arena_spills_total");
         rows.push(Row {
             pattern: pattern.label().to_string(),
-            fused_alloc_spans: span_count(&fused, SpanKind::Alloc),
-            fused_free_spans: span_count(&fused, SpanKind::Free),
-            unfused_alloc_spans: span_count(&base, SpanKind::Alloc),
-            unfused_free_spans: span_count(&base, SpanKind::Free),
+            fused_alloc_spans: span_count(&fused_dev, SpanKind::Alloc),
+            fused_free_spans: span_count(&fused_dev, SpanKind::Free),
+            unfused_alloc_spans: span_count(&base_dev, SpanKind::Alloc),
+            unfused_free_spans: span_count(&base_dev, SpanKind::Free),
             fused_sub_allocs: fused_arena.sub_allocs,
             unfused_sub_allocs: base_arena.sub_allocs,
             reservation_bytes: base_arena.reservation,

@@ -7,7 +7,7 @@
 
 use kw_tpch::Pattern;
 
-use super::{resident, run_pair, DEFAULT_N, SEED};
+use super::{resident, run_pair_on_devices, DEFAULT_N, SEED};
 
 /// One pattern's operator-density measurement.
 #[derive(Debug, Clone, Copy)]
@@ -33,11 +33,12 @@ pub fn run() -> Vec<DensityRow> {
         .into_iter()
         .map(|pattern| {
             let w = pattern.build(DEFAULT_N, SEED);
-            let (fused, base) = run_pair(&w, &resident());
+            let ((_, fused_dev), (_, base_dev)) = run_pair_on_devices(&w, &resident());
+            let (fused, base) = (fused_dev.stats(), base_dev.stats());
             DensityRow {
                 pattern,
-                baseline_density: base.stats.alu_ops as f64 / base.stats.global_bytes() as f64,
-                fused_density: fused.stats.alu_ops as f64 / fused.stats.global_bytes() as f64,
+                baseline_density: base.alu_ops as f64 / base.global_bytes() as f64,
+                fused_density: fused.alu_ops as f64 / fused.global_bytes() as f64,
             }
         })
         .collect()

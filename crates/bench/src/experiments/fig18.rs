@@ -6,7 +6,7 @@
 
 use kw_tpch::Pattern;
 
-use super::{geomean, resident, run_pair, DEFAULT_N, SEED};
+use super::{geomean, resident, run_pair_on_devices, DEFAULT_N, SEED};
 
 /// One pattern's Figure 18 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -32,11 +32,11 @@ pub fn run() -> Vec<Fig18Row> {
         .into_iter()
         .map(|pattern| {
             let w = pattern.build(DEFAULT_N, SEED);
-            let (fused, base) = run_pair(&w, &resident());
+            let ((_, fused_dev), (_, base_dev)) = run_pair_on_devices(&w, &resident());
             Fig18Row {
                 pattern,
-                baseline_cycles: base.stats.global_access_cycles,
-                fused_cycles: fused.stats.global_access_cycles,
+                baseline_cycles: base_dev.stats().global_access_cycles,
+                fused_cycles: fused_dev.stats().global_access_cycles,
             }
         })
         .collect()

@@ -49,6 +49,16 @@ pub fn device() -> Device {
 /// Run `workload` fused and unfused on fresh devices, returning
 /// `(fused, baseline)` reports.
 pub fn run_pair(workload: &Workload, config: &WeaverConfig) -> (PlanReport, PlanReport) {
+    let ((fused, _), (base, _)) = run_pair_on_devices(workload, config);
+    (fused, base)
+}
+
+/// [`run_pair`], also returning each run's device (whose `stats()` and
+/// `spans()` cover exactly that run).
+pub fn run_pair_on_devices(
+    workload: &Workload,
+    config: &WeaverConfig,
+) -> ((PlanReport, Device), (PlanReport, Device)) {
     let mut fused_dev = device();
     let fused = workload
         .run(&mut fused_dev, config)
@@ -62,7 +72,7 @@ pub fn run_pair(workload: &Workload, config: &WeaverConfig) -> (PlanReport, Plan
         "{}: fused and baseline disagree",
         workload.name
     );
-    (fused, base)
+    ((fused, fused_dev), (base, base_dev))
 }
 
 /// Resident-mode config (Figure 16 setup).

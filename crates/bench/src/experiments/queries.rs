@@ -47,8 +47,8 @@ pub fn run_query(workload: &Workload) -> QueryRow {
 
     assert_eq!(fused.outputs, base.outputs, "{} mismatch", workload.name);
 
-    let base_cycles = base.stats.gpu_cycles;
-    let fused_cycles = fused.stats.gpu_cycles;
+    let base_cycles = base_dev.stats().gpu_cycles;
+    let fused_cycles = fused_dev.stats().gpu_cycles;
     QueryRow {
         name: workload.name.clone(),
         overall_speedup: base_cycles as f64 / fused_cycles as f64,
@@ -57,8 +57,8 @@ pub fn run_query(workload: &Workload) -> QueryRow {
             / (fused_cycles - fused_sort) as f64,
         baseline_operators: base.operator_count,
         fused_operators: fused.operator_count,
-        baseline_kernels: base.stats.kernel_launches,
-        fused_kernels: fused.stats.kernel_launches,
+        baseline_kernels: base_dev.stats().kernel_launches,
+        fused_kernels: fused_dev.stats().kernel_launches,
     }
 }
 

@@ -69,16 +69,15 @@ fn capture(w: &Workload, fusion: bool) -> TraceCapture {
     } else {
         resident().baseline()
     };
-    let report = w
-        .run(&mut dev, &config)
+    w.run(&mut dev, &config)
         .unwrap_or_else(|e| panic!("{} (fusion={fusion}) failed while tracing: {e}", w.name));
     let variant = if fusion { "fused" } else { "baseline" };
     // File-system-friendly stem: "TPC-H Q1" -> "tpc-h_q1.fused".
     let stem = w.name.to_lowercase().replace([' ', '/'], "_");
     let cap = TraceCapture {
         name: format!("{stem}.{variant}"),
-        spans: report.spans,
-        stats: report.stats,
+        spans: dev.spans().to_vec(),
+        stats: *dev.stats(),
         clock_ghz: dev.config().clock_ghz,
     };
     // Acceptance criterion: per-span deltas sum exactly to the aggregate.

@@ -20,7 +20,7 @@
 //! under-shoots surfaces as a counted spill (`kw_arena_spills_total`) in
 //! the executor, not here.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use kw_gpu_sim::{ArenaLayout, ArenaSlice};
 use kw_primitives::RaOp;
@@ -172,12 +172,42 @@ fn node_bytes(
         .collect()
 }
 
-/// Reference counts of the executor's buffer liveness: each step counts a
-/// unique input once; every marked plan output holds one extra reference.
-pub(crate) fn buffer_refcounts(
-    plan: &QueryPlan,
-    compiled: &CompiledPlan,
-) -> BTreeMap<NodeId, usize> {
+/// The executor's buffer schedule for one compiled step. Around the
+/// step's kernels the executor (and [`replay_arena_schedule`]) always:
+/// acquires `restage`, runs the step, acquires the gather scratch and then
+/// each output, releases the scratch, releases `release`, and finally
+/// downloads and releases `download`.
+#[derive(Debug, Default)]
+pub(crate) struct StepLiveness {
+    /// Consumed intermediates not on the device (staged mode only): they
+    /// are re-uploaded, in input order, before the step runs.
+    pub(crate) restage: Vec<NodeId>,
+    /// Inputs whose buffers die after the step: the last consumer of a
+    /// node (plan outputs hold one extra reference), and in staged mode
+    /// every consumed intermediate.
+    pub(crate) release: Vec<NodeId>,
+    /// Staged mode: the step's outputs, sent back to the host and released
+    /// right after the step.
+    pub(crate) download: Vec<NodeId>,
+}
+
+/// The whole buffer schedule of one execution of `compiled` in `mode`.
+/// Whatever is still live after the last step is released at the end.
+#[derive(Debug)]
+pub(crate) struct Liveness {
+    /// Base relations uploaded once before the first step, in node order.
+    pub(crate) stage_in: Vec<NodeId>,
+    /// One entry per compiled step.
+    pub(crate) steps: Vec<StepLiveness>,
+}
+
+/// The one source of the executor's acquire/release order: every step
+/// counts a unique input once, every marked plan output holds one extra
+/// reference, and a buffer dies with its last reference (or, staged, after
+/// each use). The executor walks this plan to drive its arena, and the
+/// admission replay walks it to size the arena, so the two cannot drift.
+pub(crate) fn liveness(plan: &QueryPlan, compiled: &CompiledPlan, mode: ExecMode) -> Liveness {
+    let staged = mode == ExecMode::Staged;
     let mut refcount: BTreeMap<NodeId, usize> = BTreeMap::new();
     for step in &compiled.steps {
         let mut seen = Vec::new();
@@ -191,14 +221,55 @@ pub(crate) fn buffer_refcounts(
     for &o in plan.outputs() {
         *refcount.entry(o).or_insert(0) += 1;
     }
-    refcount
+    let is_input = |id: NodeId| matches!(plan.node(id), PlanNode::Input { .. });
+
+    let stage_in: Vec<NodeId> = plan
+        .node_ids()
+        .filter(|&id| is_input(id) && refcount.get(&id).copied().unwrap_or(0) > 0)
+        .collect();
+    let mut live: BTreeSet<NodeId> = stage_in.iter().copied().collect();
+    let steps = compiled
+        .steps
+        .iter()
+        .map(|step| {
+            let mut sched = StepLiveness::default();
+            if staged {
+                sched.restage = step
+                    .inputs
+                    .iter()
+                    .copied()
+                    .filter(|&i| live.insert(i))
+                    .collect();
+            }
+            live.extend(&step.outputs);
+            let mut seen = Vec::new();
+            for &i in &step.inputs {
+                if seen.contains(&i) {
+                    continue;
+                }
+                seen.push(i);
+                let rc = refcount.get_mut(&i).expect("counted above");
+                *rc -= 1;
+                if (*rc == 0 || (staged && !is_input(i))) && live.remove(&i) {
+                    sched.release.push(i);
+                }
+            }
+            if staged {
+                sched.download = step
+                    .outputs
+                    .iter()
+                    .copied()
+                    .filter(|&o| live.remove(&o))
+                    .collect();
+            }
+            sched
+        })
+        .collect();
+    Liveness { stage_in, steps }
 }
 
-/// Predicted peak device bytes: the executor's exact acquire/release
-/// schedule (upload inputs once; per step acquire gather scratch + outputs,
-/// release scratch, release dead inputs; staged mode additionally re-stages
-/// consumed intermediates and releases outputs after download) replayed
-/// through an unbounded [`ArenaLayout`] planner.
+/// Predicted peak device bytes: the executor's buffer schedule
+/// ([`liveness`]) replayed through an unbounded [`ArenaLayout`] planner.
 ///
 /// The executor sizes its upfront [`kw_gpu_sim::ScratchArena`] reservation
 /// with this same replay, so the prediction and the reservation are one
@@ -227,57 +298,24 @@ fn replay_arena_schedule(
     bytes: &BTreeMap<NodeId, u64>,
     mode: ExecMode,
 ) -> std::result::Result<u64, kw_gpu_sim::SimError> {
-    let mut refcount = buffer_refcounts(plan, compiled);
+    let schedule = liveness(plan, compiled, mode);
     let mut layout = ArenaLayout::planner();
     let mut held: BTreeMap<NodeId, ArenaSlice> = BTreeMap::new();
-
-    for id in plan.node_ids() {
-        if matches!(plan.node(id), PlanNode::Input { .. })
-            && refcount.get(&id).copied().unwrap_or(0) > 0
-        {
-            held.insert(id, layout.acquire(bytes[&id])?);
-        }
+    for &id in &schedule.stage_in {
+        held.insert(id, layout.acquire(bytes[&id])?);
     }
-
-    for step in &compiled.steps {
-        if mode == ExecMode::Staged {
-            for &i in &step.inputs {
-                if let std::collections::btree_map::Entry::Vacant(e) = held.entry(i) {
-                    e.insert(layout.acquire(bytes[&i])?);
-                }
-            }
+    for (step, sched) in compiled.steps.iter().zip(&schedule.steps) {
+        for &i in &sched.restage {
+            held.insert(i, layout.acquire(bytes[&i])?);
         }
-
         let out_bytes: u64 = step.outputs.iter().map(|o| bytes[o]).sum();
         let scratch = layout.acquire(out_bytes)?; // gather scratch
         for &o in &step.outputs {
-            let slice = layout.acquire(bytes[&o])?;
-            held.insert(o, slice);
+            held.insert(o, layout.acquire(bytes[&o])?);
         }
         layout.release(scratch)?;
-
-        let mut seen = Vec::new();
-        for &i in &step.inputs {
-            if seen.contains(&i) {
-                continue;
-            }
-            seen.push(i);
-            let rc = refcount.get_mut(&i).expect("counted above");
-            *rc -= 1;
-            let intermediate = !matches!(plan.node(i), PlanNode::Input { .. });
-            if *rc == 0 || (mode == ExecMode::Staged && intermediate) {
-                if let Some(slice) = held.remove(&i) {
-                    layout.release(slice)?;
-                }
-            }
-        }
-
-        if mode == ExecMode::Staged {
-            for &o in &step.outputs {
-                if let Some(slice) = held.remove(&o) {
-                    layout.release(slice)?;
-                }
-            }
+        for node in sched.release.iter().chain(&sched.download) {
+            layout.release(held.remove(node).expect("liveness releases live buffers"))?;
         }
     }
     Ok(layout.high_water())

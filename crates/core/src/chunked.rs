@@ -20,7 +20,7 @@
 //! and chunk *i−1*'s download. Fusion composes with this: the fused kernel
 //! still runs per chunk, and still moves less data.
 
-use kw_gpu_sim::{ArenaStats, Device, Direction, ScratchArena, SimStats};
+use kw_gpu_sim::{ArenaStats, Device, Direction, ScratchArena};
 use kw_primitives::{consumer_class, DependenceClass};
 use kw_relational::{Relation, Schema};
 
@@ -69,7 +69,7 @@ pub struct ChunkedReport {
     /// Largest footprint any single chunk actually reached on the shared
     /// scratch device — the memory a real GPU would need for this schedule.
     /// Also folded into the parent device's memory gauges via
-    /// [`Device::absorb_scratch_peak`].
+    /// [`Device::absorb_scratch`].
     pub peak_device_bytes: u64,
     /// Accounting for the run's single scratch arena: all chunks share one
     /// reservation (the max of the per-chunk admission predictions), reset
@@ -340,11 +340,7 @@ fn run_chunks(
                     None
                 }
             };
-            device.absorb_scratch_peak(scratch.memory().peak());
-            let fork_free_errors = scratch.metrics().counter("kw_free_errors_total");
-            device
-                .metrics_mut()
-                .inc("kw_free_errors_total", fork_free_errors);
+            device.absorb_scratch(&scratch);
             stats
         })
     };
@@ -389,32 +385,16 @@ fn run_chunks(
         // are surfaced separately as `residual_pcie_seconds`.
         let residual = (delta.pcie_seconds - h2d - d2h).max(0.0);
         residual_pcie_seconds += residual;
-        let scratch_stats = delta;
-        let mid_cycles = scratch_stats
+        let mid_cycles = delta
             .gpu_cycles
             .saturating_add(device.config().seconds_to_cycles(residual));
-        total_gpu_cycles += scratch_stats.gpu_cycles;
+        total_gpu_cycles += delta.gpu_cycles;
 
         // The chunk's kernel-side counters, without its transfer traffic:
         // the boundary transfers are mirrored below as real streamed
-        // transfers (fault-injectable like any transfer), and double
-        // counting either side would break the reconciliation invariant.
-        let compute_delta = SimStats {
-            kernel_launches: scratch_stats.kernel_launches,
-            launch_cycles: scratch_stats.launch_cycles,
-            global_bytes_read: scratch_stats.global_bytes_read,
-            global_bytes_written: scratch_stats.global_bytes_written,
-            global_access_cycles: scratch_stats.global_access_cycles,
-            shared_bytes_read: scratch_stats.shared_bytes_read,
-            shared_bytes_written: scratch_stats.shared_bytes_written,
-            shared_access_cycles: scratch_stats.shared_access_cycles,
-            alu_ops: scratch_stats.alu_ops,
-            alu_cycles: scratch_stats.alu_cycles,
-            barriers: scratch_stats.barriers,
-            barrier_cycles: scratch_stats.barrier_cycles,
-            gpu_cycles: scratch_stats.gpu_cycles,
-            ..SimStats::default()
-        };
+        // transfers (fault-injectable like any transfer), and charging
+        // them in the compute span too would count them twice.
+        let compute_delta = delta.compute_only();
 
         // Issue the chunk on its own stream. Zero-byte transfers are
         // skipped entirely — a fully-selective filter must not pay the

@@ -45,7 +45,7 @@
 use std::collections::BTreeMap;
 
 use kw_gpu_sim::{
-    ArenaSlice, ArenaStats, BufferId, Device, Direction, EventId, ScratchArena, SimError, SimStats,
+    ArenaSlice, ArenaStats, BufferId, Device, Direction, EventId, ScratchArena, SimError,
 };
 use kw_kernel_ir::execute as execute_op;
 use kw_relational::Relation;
@@ -89,8 +89,6 @@ pub struct PlanReport {
     /// mode, or the resilient driver's chunked rung). Excludes retry
     /// backoff; `None` means nothing was overlapped.
     pub pipelined_seconds: Option<f64>,
-    /// Raw simulator counters.
-    pub stats: SimStats,
     /// Peak bytes of live relation data this run actually held at once
     /// (Figure 17): arena sub-allocations plus spills plus whatever was
     /// already resident when the run started. The arena *reservation*
@@ -109,20 +107,6 @@ pub struct PlanReport {
     /// always), sub-allocations served span-free, and resets (one per
     /// chunk iteration in out-of-core runs).
     pub arena: Option<ArenaStats>,
-    /// Count of free errors the device swallowed on drain-on-error paths
-    /// (`kw_free_errors_total`). Like [`PlanReport::stats`] this is a
-    /// device-lifetime counter; non-zero means some unwind hit accounting
-    /// corruption worth investigating.
-    pub free_errors: u64,
-    /// The first swallowed free error on the device, if any.
-    pub first_free_error: Option<String>,
-    /// Structured execution trace: one span per kernel launch, PCIe
-    /// transfer, allocation and fault, with operator provenance and a
-    /// per-span [`SimStats`] delta. A snapshot of the device's span log at
-    /// report time, so like [`PlanReport::stats`] it is cumulative over the
-    /// device's life; for a fresh device the two reconcile exactly (see
-    /// [`kw_gpu_sim::reconcile`]).
-    pub spans: Vec<kw_gpu_sim::Span>,
     /// Roofline-style bottleneck attribution for this run: achieved vs.
     /// peak bandwidths, busy fractions, launch share and a per-operator
     /// breakdown (see [`crate::ProfileReport`]).
@@ -240,8 +224,6 @@ pub(crate) fn execute_compiled_sized(
     match result {
         Ok(mut report) => {
             report.arena = Some(device.release_arena(arena)?);
-            // Refresh the span snapshot so it includes the arena's Free span.
-            report.spans = device.spans().to_vec();
             Ok(report)
         }
         Err(e) => {
@@ -443,10 +425,9 @@ fn run_compiled(
         }
     }
 
-    // How many steps consume each node, plus one virtual consumer for plan
-    // outputs (kept on device until the final transfer in resident mode).
-    // The admission predictor replays the same counts to size the arena.
-    let mut refcount = crate::admission::buffer_refcounts(plan, compiled);
+    // When each buffer is acquired and released. The admission predictor
+    // replays the same schedule to size the arena.
+    let schedule = crate::admission::liveness(plan, compiled, config.mode);
 
     let mut fp = Footprint::new(base_in_use);
 
@@ -465,25 +446,20 @@ fn run_compiled(
     // relations are transferred when first needed and shared inputs are not
     // re-sent, which is why pattern (d) sees no PCIe benefit).
     device.push_scope("stage-in");
-    for id in plan.node_ids() {
-        if matches!(plan.node(id), PlanNode::Input { .. })
-            && refcount.get(&id).copied().unwrap_or(0) > 0
-        {
-            let rel = &values[&id];
-            let bytes = rel.byte_size() as u64;
-            let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("input.{id}"))?;
-            live.by_node.insert(id, slot);
-            if let Some((h2d, _)) = copy_streams {
-                device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
-                upload_done.insert(id, device.record_event(h2d)?);
-            } else {
-                device.transfer(Direction::HostToDevice, bytes)?;
-            }
+    for &id in &schedule.stage_in {
+        let bytes = values[&id].byte_size() as u64;
+        let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("input.{id}"))?;
+        live.by_node.insert(id, slot);
+        if let Some((h2d, _)) = copy_streams {
+            device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
+            upload_done.insert(id, device.record_event(h2d)?);
+        } else {
+            device.transfer(Direction::HostToDevice, bytes)?;
         }
     }
     device.pop_scope();
 
-    for (step_idx, step) in compiled.steps.iter().enumerate() {
+    for ((step_idx, step), sched) in compiled.steps.iter().enumerate().zip(&schedule.steps) {
         // Every span this step emits (kernels, staging transfers, faults)
         // carries the operator's provenance. Fused steps keep their
         // `fused[...]` label, so fusion candidates stay identifiable in the
@@ -492,23 +468,21 @@ fn run_compiled(
         // Staged mode: intermediates were sent back to the host after the
         // step that produced them; re-stage the ones this step consumes.
         if let Some((h2d, _)) = copy_streams {
-            for &i in &step.inputs {
-                if let std::collections::btree_map::Entry::Vacant(slot) = live.by_node.entry(i) {
-                    let rel = values.get(&i).ok_or_else(|| {
-                        WeaverError::plan(format!("step input {i} not yet computed"))
-                    })?;
-                    let bytes = rel.byte_size() as u64;
-                    let s = acquire_slot(device, arena, &mut fp, bytes, || format!("staged.{i}"))?;
-                    slot.insert(s);
-                    // The bytes being re-staged come off the download that
-                    // returned them to the host — the upload cannot start
-                    // before that download has finished.
-                    if let Some(&ev) = download_done.get(&i) {
-                        device.wait_event(h2d, ev)?;
-                    }
-                    device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
-                    upload_done.insert(i, device.record_event(h2d)?);
+            for &i in &sched.restage {
+                let rel = values
+                    .get(&i)
+                    .ok_or_else(|| WeaverError::plan(format!("step input {i} not yet computed")))?;
+                let bytes = rel.byte_size() as u64;
+                let slot = acquire_slot(device, arena, &mut fp, bytes, || format!("staged.{i}"))?;
+                live.by_node.insert(i, slot);
+                // The bytes being re-staged come off the download that
+                // returned them to the host — the upload cannot start
+                // before that download has finished.
+                if let Some(&ev) = download_done.get(&i) {
+                    device.wait_event(h2d, ev)?;
                 }
+                device.transfer_on(h2d, Direction::HostToDevice, bytes)?;
+                upload_done.insert(i, device.record_event(h2d)?);
             }
             // Data-ready edge: the serially-charged kernels below consume
             // these uploads, so they cannot be charged before the copy
@@ -552,21 +526,12 @@ fn run_compiled(
 
         // Release inputs nobody else needs (base relations and, in resident
         // mode, intermediates).
-        let mut seen = Vec::new();
-        for &i in &step.inputs {
-            if seen.contains(&i) {
-                continue;
-            }
-            seen.push(i);
-            let rc = refcount.get_mut(&i).expect("counted above");
-            *rc -= 1;
-            let intermediate = !matches!(plan.node(i), PlanNode::Input { .. });
-            let release = *rc == 0 || (config.mode == ExecMode::Staged && intermediate);
-            if release {
-                if let Some(slot) = live.by_node.remove(&i) {
-                    release_slot(device, arena, &mut fp, slot)?;
-                }
-            }
+        for i in &sched.release {
+            let slot = live
+                .by_node
+                .remove(i)
+                .expect("liveness releases live buffers");
+            release_slot(device, arena, &mut fp, slot)?;
         }
 
         // Staged mode: results return to the host immediately to make room
@@ -577,13 +542,15 @@ fn run_compiled(
         // is released at issue time (the memory model is not time-aware),
         // matching the serialized accounting exactly.
         if let Some((_, d2h)) = copy_streams {
-            for &node in &step.outputs {
+            for &node in &sched.download {
                 let bytes = values[&node].byte_size() as u64;
                 device.transfer_on(d2h, Direction::DeviceToHost, bytes)?;
                 download_done.insert(node, device.record_event(d2h)?);
-                if let Some(slot) = live.by_node.remove(&node) {
-                    release_slot(device, arena, &mut fp, slot)?;
-                }
+                let slot = live
+                    .by_node
+                    .remove(&node)
+                    .expect("liveness releases live buffers");
+                release_slot(device, arena, &mut fp, slot)?;
             }
         }
         device.pop_scope();
@@ -653,15 +620,11 @@ fn run_compiled(
         total_seconds,
         serialized_seconds,
         pipelined_seconds,
-        stats: *device.stats(),
         peak_device_bytes: fp.actual_peak,
         fusion_sets: compiled.fusion_sets.clone(),
         operator_count: compiled.steps.len(),
         resilience: None,
         arena: None, // filled by the entry points once the arena settles
-        free_errors: device.metrics().counter("kw_free_errors_total"),
-        first_free_error: device.first_free_error().map(String::from),
-        spans: device.spans().to_vec(),
         profile,
     })
 }
@@ -747,7 +710,7 @@ mod tests {
             fused.gpu_seconds
         );
         assert!(base.peak_device_bytes > fused.peak_device_bytes);
-        assert!(base.stats.kernel_launches > fused.stats.kernel_launches);
+        assert!(d2.stats().kernel_launches > d1.stats().kernel_launches);
         assert_eq!(fused.operator_count, 1);
         assert_eq!(base.operator_count, 3);
     }
@@ -767,10 +730,10 @@ mod tests {
         let base = execute_plan(&plan, &[("t", &input)], &mut d2, &staged.baseline()).unwrap();
 
         assert!(
-            base.stats.pcie_bytes() > fused.stats.pcie_bytes(),
+            d2.stats().pcie_bytes() > d1.stats().pcie_bytes(),
             "{} vs {}",
-            base.stats.pcie_bytes(),
-            fused.stats.pcie_bytes()
+            d2.stats().pcie_bytes(),
+            d1.stats().pcie_bytes()
         );
         assert!(base.pcie_seconds > fused.pcie_seconds);
         // Both modes produce identical results.
@@ -794,13 +757,13 @@ mod tests {
                 };
                 let mut d = device();
                 let report = execute_plan(&plan, &[("t", &input)], &mut d, &config).unwrap();
-                let allocs = report
-                    .spans
+                let allocs = d
+                    .spans()
                     .iter()
                     .filter(|s| s.kind == SpanKind::Alloc)
                     .count();
-                let frees = report
-                    .spans
+                let frees = d
+                    .spans()
                     .iter()
                     .filter(|s| s.kind == SpanKind::Free)
                     .count();

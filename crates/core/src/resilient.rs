@@ -51,6 +51,63 @@ impl Default for RetryPolicy {
     }
 }
 
+/// One fault domain's retry budget and history under a [`RetryPolicy`]:
+/// the resilient driver keeps one per run, the batch scheduler one per
+/// query. The budget (`rung_used`) resets when the caller moves to a new
+/// ladder rung or scheduling phase; `retries` and `backoff_seconds`
+/// accumulate for the caller's report.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RetryBudget {
+    rung_used: u32,
+    pub(crate) retries: u32,
+    pub(crate) backoff_seconds: f64,
+}
+
+impl RetryBudget {
+    /// Start a fresh per-rung budget (the history is kept).
+    pub(crate) fn reset_rung(&mut self) {
+        self.rung_used = 0;
+    }
+
+    /// Absorb one transient fault: charge escalating backoff
+    /// (`base * multiplier^n` for the rung's `n`-th retry) to the device
+    /// clock under a `retry{k}` frame, `k` counting every retry so far,
+    /// and spend one unit of budget. Returns `false` when the rung's
+    /// budget is exhausted, in which case the caller lets the fault
+    /// propagate.
+    pub(crate) fn absorb(&mut self, device: &mut Device, policy: &RetryPolicy) -> bool {
+        if self.rung_used >= policy.max_retries {
+            return false;
+        }
+        let wait =
+            policy.base_backoff_seconds * policy.backoff_multiplier.powi(self.rung_used as i32);
+        device.push_scope(format!("retry{}", self.retries + 1));
+        device.charge_backoff(wait);
+        device.pop_scope();
+        self.backoff_seconds += wait;
+        self.rung_used += 1;
+        self.retries += 1;
+        true
+    }
+
+    /// Run `op` until it succeeds, absorbing its transient faults while the
+    /// budget lasts; a fatal error or an exhausted budget propagates.
+    pub(crate) fn retry<T>(
+        &mut self,
+        device: &mut Device,
+        policy: &RetryPolicy,
+        mut op: impl FnMut(&mut Device) -> kw_gpu_sim::Result<T>,
+    ) -> Result<T> {
+        loop {
+            match op(device) {
+                Ok(v) => return Ok(v),
+                Err(e) if e.is_transient() && self.absorb(device, policy) => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+}
+
 /// One rung-change the driver took after a mid-run capacity miss.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Degradation {
@@ -153,10 +210,8 @@ pub fn execute_compiled_resilient(
 
     let mut mode = admitted;
     let mut attempts = 0u32;
-    let mut retries = 0u32;
-    let mut retries_this_rung = 0u32;
+    let mut budget = RetryBudget::default();
     let mut degradations: Vec<Degradation> = Vec::new();
-    let mut backoff_seconds = 0.0f64;
 
     loop {
         attempts += 1;
@@ -217,7 +272,7 @@ pub fn execute_compiled_resilient(
                                 device.spans(),
                                 device.stats(),
                                 device.config(),
-                                r.pipelined_seconds + backoff_seconds,
+                                r.pipelined_seconds + budget.backoff_seconds,
                                 r.residual_pcie_seconds,
                             );
                             // run_chunks absorbed the fork's footprint into
@@ -228,18 +283,14 @@ pub fn execute_compiled_resilient(
                         outputs: r.outputs,
                         gpu_seconds: r.gpu_seconds,
                         pcie_seconds: r.pcie_seconds + r.residual_pcie_seconds,
-                        total_seconds: r.pipelined_seconds + backoff_seconds,
-                        serialized_seconds: r.serialized_seconds + backoff_seconds,
+                        total_seconds: r.pipelined_seconds + budget.backoff_seconds,
+                        serialized_seconds: r.serialized_seconds + budget.backoff_seconds,
                         pipelined_seconds: Some(r.pipelined_seconds),
-                        stats: *device.stats(),
                         peak_device_bytes: r.peak_device_bytes,
                         fusion_sets: compiled.fusion_sets.clone(),
                         operator_count: compiled.steps.len(),
                         resilience: None,
                         arena: r.arena,
-                        free_errors: device.metrics().counter("kw_free_errors_total"),
-                        first_free_error: device.first_free_error().map(String::from),
-                        spans: Vec::new(),
                     }
                 })
             }
@@ -248,6 +299,7 @@ pub fn execute_compiled_resilient(
 
         match result {
             Ok(mut report) => {
+                let retries = budget.retries;
                 let m = device.metrics_mut();
                 m.inc("kw_resilient_runs_total", 1);
                 m.inc("kw_retries_total", u64::from(retries));
@@ -261,24 +313,11 @@ pub fn execute_compiled_resilient(
                     retries,
                     faults_survived: retries,
                     degradations,
-                    backoff_seconds,
+                    backoff_seconds: budget.backoff_seconds,
                 });
-                // The device's span log covers the whole resilient episode —
-                // failed attempts, backoff and the final successful run —
-                // which is the history a trace should show.
-                report.spans = device.spans().to_vec();
                 return Ok(report);
             }
-            Err(e) if e.is_transient() && retries_this_rung < policy.max_retries => {
-                let wait = policy.base_backoff_seconds
-                    * policy.backoff_multiplier.powi(retries_this_rung as i32);
-                device.push_scope(format!("retry{retries}", retries = retries + 1));
-                device.charge_backoff(wait);
-                device.pop_scope();
-                backoff_seconds += wait;
-                retries_this_rung += 1;
-                retries += 1;
-            }
+            Err(e) if e.is_transient() && budget.absorb(device, policy) => {}
             Err(e) if e.is_capacity() => match next_rung(mode, plan) {
                 Ok(next) => {
                     degradations.push(Degradation {
@@ -287,7 +326,7 @@ pub fn execute_compiled_resilient(
                         reason: e.to_string(),
                     });
                     mode = next;
-                    retries_this_rung = 0;
+                    budget.reset_rung();
                 }
                 Err(stop) => return Err(crate::WeaverError::ladder_exhausted(stop, e.to_string())),
             },

@@ -57,7 +57,7 @@ use kw_relational::Relation;
 use crate::admission::{
     plan_waves, AdmittedMode, BatchAdmissionQuery, BatchWavePlan, QueryAdmission,
 };
-use crate::resilient::RetryPolicy;
+use crate::resilient::{RetryBudget, RetryPolicy};
 use crate::{
     compile, CompiledPlan, ExecMode, NodeId, PlanNode, PlanReport, QueryPlan, Result, WeaverConfig,
     WeaverError,
@@ -194,16 +194,10 @@ pub struct BatchReport {
     /// Per-engine busy time as a fraction of the batch makespan — the
     /// copy-compute overlap picture the stream model exists to produce.
     pub engine_utilization: BTreeMap<String, f64>,
-    /// Roofline-style bottleneck attribution for the batch, with one
-    /// operator row per query scope annotated with the query's outcome
-    /// (see [`crate::ProfileReport`]).
+    /// Roofline-style bottleneck attribution for this batch's spans only
+    /// (against `makespan_seconds`), with one operator row per query scope
+    /// annotated with the query's outcome (see [`crate::ProfileReport`]).
     pub profile: crate::ProfileReport,
-    /// Free errors the device swallowed on quarantine/unwind paths during
-    /// this batch (`kw_free_errors_total` at batch end). Non-zero means
-    /// some drain hit accounting corruption worth investigating.
-    pub free_errors: u64,
-    /// The first swallowed free error on the device, if any.
-    pub first_free_error: Option<String>,
     /// The elastic admission verdict: wave packing, ladder routing,
     /// per-query rejections.
     pub admission: BatchWavePlan,
@@ -235,22 +229,11 @@ impl BatchReport {
     }
 }
 
-/// Per-step compute cost measured on the scratch run: the merged
-/// kernel-side [`SimStats`] delta and its duration in cycles.
-struct StepCompute {
-    delta: SimStats,
-    cycles: u64,
-}
-
 /// Group the scratch run's kernel spans by the `step{i}:` provenance frame
-/// the executor pushes, yielding one compute-only delta per compiled step.
-fn step_computes(spans: &[Span], steps: usize) -> Vec<StepCompute> {
-    let mut out: Vec<StepCompute> = (0..steps)
-        .map(|_| StepCompute {
-            delta: SimStats::default(),
-            cycles: 0,
-        })
-        .collect();
+/// the executor pushes, yielding one compute-only delta per compiled step
+/// (its duration is its `gpu_cycles`).
+fn step_computes(spans: &[Span], steps: usize) -> Vec<SimStats> {
+    let mut out = vec![SimStats::default(); steps];
     for span in spans {
         if span.kind != SpanKind::Kernel {
             continue;
@@ -263,89 +246,18 @@ fn step_computes(spans: &[Span], steps: usize) -> Vec<StepCompute> {
             continue;
         };
         if let Some(slot) = out.get_mut(idx) {
-            slot.delta.merge(&span.delta);
+            slot.merge(&span.delta);
         }
-    }
-    for slot in &mut out {
-        slot.cycles = slot.delta.gpu_cycles;
     }
     out
 }
 
-/// Per-query retry accounting: one fault domain's budget and history.
-///
-/// The budget (`phase_used`) resets between the scratch phase and the
-/// streamed-issue phase — the same "budget per rung" semantics
-/// [`crate::execute_resilient`] applies per ladder rung — while `retries`
-/// and `backoff_seconds` accumulate for the query's report.
-#[derive(Default, Clone)]
-struct RetryCounters {
-    phase_used: u32,
-    retries: u32,
-    backoff_seconds: f64,
-}
-
-impl RetryCounters {
-    fn reset_phase(&mut self) {
-        self.phase_used = 0;
-    }
-
-    /// Absorb one transient fault: charge escalating backoff to the shared
-    /// clock (under a `retry{n}` frame inside the caller's query scope)
-    /// and spend one unit of budget. Returns `false` when the budget is
-    /// exhausted, in which case the fault propagates and quarantines the
-    /// query.
-    fn absorb(&mut self, device: &mut Device, policy: &RetryPolicy) -> bool {
-        if self.phase_used >= policy.max_retries {
-            return false;
-        }
-        let wait =
-            policy.base_backoff_seconds * policy.backoff_multiplier.powi(self.phase_used as i32);
-        device.push_scope(format!("retry{}", self.retries + 1));
-        device.charge_backoff(wait);
-        device.pop_scope();
-        self.backoff_seconds += wait;
-        self.phase_used += 1;
-        self.retries += 1;
-        true
-    }
-}
-
-/// A streamed transfer inside a query's fault domain: transient faults are
-/// absorbed by `counters` until its budget runs out.
-fn transfer_with_retry(
-    device: &mut Device,
-    stream: StreamId,
-    direction: Direction,
-    bytes: u64,
-    policy: &RetryPolicy,
-    counters: &mut RetryCounters,
-) -> Result<f64> {
-    loop {
-        match device.transfer_on(stream, direction, bytes) {
-            Ok(seconds) => return Ok(seconds),
-            Err(e) if e.is_transient() && counters.absorb(device, policy) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-/// An allocation inside a query's fault domain (wave reservations), with
-/// the same transient-fault absorption as [`transfer_with_retry`].
-fn alloc_with_retry(
-    device: &mut Device,
-    bytes: u64,
-    label: &str,
-    policy: &RetryPolicy,
-    counters: &mut RetryCounters,
-) -> Result<BufferId> {
-    loop {
-        match device.alloc(bytes, label) {
-            Ok(id) => return Ok(id),
-            Err(e) if e.is_transient() && counters.absorb(device, policy) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
+/// Exact nearest-rank percentile `q` of `sorted` (ascending): always one of
+/// the observed values, `None` when there are none.
+pub(crate) fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let n = sorted.len();
+    let rank = ((q * n as f64).ceil() as usize).clamp(1, n.max(1));
+    sorted.get(rank - 1).copied()
 }
 
 /// Execute a batch of independent queries concurrently on one shared
@@ -495,7 +407,7 @@ pub fn execute_batch_compiled_with_policy(
             }
         }
     }
-    let mut counters: Vec<RetryCounters> = vec![RetryCounters::default(); queries.len()];
+    let mut counters: Vec<RetryBudget> = vec![RetryBudget::default(); queries.len()];
     let mut degraded: Vec<Option<AdmittedMode>> = vec![None; queries.len()];
 
     // Phase 1: run every wave query on a scratch fork (derived fault
@@ -503,7 +415,7 @@ pub fn execute_batch_compiled_with_policy(
     // obtain its outputs and measured per-step compute costs. Each query
     // is a fault domain: transients retry with backoff, a capacity miss
     // re-routes the query to the ladder tail, anything else quarantines it.
-    let mut scratch: Vec<Option<(PlanReport, Vec<StepCompute>, u64)>> =
+    let mut scratch: Vec<Option<(PlanReport, Vec<SimStats>, u64)>> =
         (0..queries.len()).map(|_| None).collect();
     for (qi, q) in queries.iter().enumerate() {
         if wave_of[qi].is_none() || failed[qi].is_some() {
@@ -528,7 +440,7 @@ pub fn execute_batch_compiled_with_policy(
                 reservation,
             ) {
                 Ok(report) => {
-                    let computes = step_computes(&report.spans, compiled[qi].steps.len());
+                    let computes = step_computes(fork.spans(), compiled[qi].steps.len());
                     let peak = fork.memory().peak();
                     scratch[qi] = Some((report, computes, peak));
                     break;
@@ -582,7 +494,7 @@ pub fn execute_batch_compiled_with_policy(
         // allocated (past retries) quarantines only its query.
         let mut reservations: BTreeMap<usize, BufferId> = BTreeMap::new();
         for &qi in &members {
-            counters[qi].reset_phase();
+            counters[qi].reset_rung();
             let peak = match &admission.per_query[qi] {
                 QueryAdmission::Wave { report, .. } => report.resident_peak,
                 _ => unreachable!("wave members are wave-admitted"),
@@ -591,13 +503,8 @@ pub fn execute_batch_compiled_with_policy(
                 continue;
             }
             device.push_scope(format!("q{qi}:{}", queries[qi].name));
-            let got = alloc_with_retry(
-                device,
-                peak,
-                &format!("q{qi}.workingset"),
-                policy,
-                &mut counters[qi],
-            );
+            let label = format!("q{qi}.workingset");
+            let got = counters[qi].retry(device, policy, |d| d.alloc(peak, label.as_str()));
             device.pop_scope();
             match got {
                 Ok(buf) => {
@@ -634,7 +541,6 @@ pub fn execute_batch_compiled_with_policy(
             uploaded: BTreeMap<NodeId, Option<(StreamId, EventId)>>,
             /// Completion event per issued step.
             step_done: Vec<Option<EventId>>,
-            pcie_seconds: f64,
         }
         let mut states: BTreeMap<usize, QState> = alive
             .iter()
@@ -652,7 +558,6 @@ pub fn execute_batch_compiled_with_policy(
                         producer,
                         uploaded: BTreeMap::new(),
                         step_done: vec![None; c.steps.len()],
-                        pcie_seconds: 0.0,
                     },
                 )
             })
@@ -700,14 +605,9 @@ pub fn execute_batch_compiled_with_policy(
                                 WeaverError::binding(format!("no relation bound to '{name}'"))
                             })?;
                         let ev = if bytes > 0 {
-                            state.pcie_seconds += transfer_with_retry(
-                                device,
-                                stream,
-                                Direction::HostToDevice,
-                                bytes,
-                                policy,
-                                budget,
-                            )?;
+                            budget.retry(device, policy, |d| {
+                                d.transfer_on(stream, Direction::HostToDevice, bytes)
+                            })?;
                             Some((stream, device.record_event(stream)?))
                         } else {
                             None
@@ -737,8 +637,8 @@ pub fn execute_batch_compiled_with_policy(
                     device.compute_on(
                         stream,
                         step.op.label.clone(),
-                        &compute.delta,
-                        compute.cycles,
+                        compute,
+                        compute.gpu_cycles,
                     )?;
 
                     // Marked plan outputs return to the host as soon as
@@ -750,14 +650,9 @@ pub fn execute_batch_compiled_with_policy(
                         }
                         let bytes = report.outputs[&node].byte_size() as u64;
                         if bytes > 0 {
-                            state.pcie_seconds += transfer_with_retry(
-                                device,
-                                stream,
-                                Direction::DeviceToHost,
-                                bytes,
-                                policy,
-                                budget,
-                            )?;
+                            budget.retry(device, policy, |d| {
+                                d.transfer_on(stream, Direction::DeviceToHost, bytes)
+                            })?;
                         }
                     }
                     state.step_done[slot] = Some(device.record_event(stream)?);
@@ -877,9 +772,8 @@ pub fn execute_batch_compiled_with_policy(
                         .map(|op| op.end_cycle)
                         .max()
                         .unwrap_or(batch_start);
-                    let gpu: u64 = computes.iter().map(|c| c.cycles).sum();
-                    // PCIe seconds were accumulated per wave-local state; they
-                    // equal the sum of this query's streamed transfer spans.
+                    let gpu: u64 = computes.iter().map(|c| c.gpu_cycles).sum();
+                    // The query's PCIe seconds: its streamed transfer spans.
                     let pcie: f64 = device.spans()[spans_before..]
                         .iter()
                         .filter(|s| s.kind == SpanKind::Transfer)
@@ -989,11 +883,15 @@ pub fn execute_batch_compiled_with_policy(
         })
         .collect();
 
+    // The batch's own spans, not the device's whole history: on a shared
+    // device (the service) earlier batches are neither recomputed nor
+    // merged into this batch's per-query rows.
+    let batch_spans = &device.spans()[spans_before..];
     let mut profile = crate::ProfileReport::from_spans(
-        device.spans(),
-        device.stats(),
+        batch_spans,
+        &kw_gpu_sim::sum_deltas(batch_spans),
         device.config(),
-        device.config().cycles_to_seconds(end_cycles),
+        makespan_seconds,
     );
     profile.peak_device_bytes = device.memory().peak();
     let outcome_labels: Vec<(String, String)> = queries
@@ -1016,12 +914,7 @@ pub fn execute_batch_compiled_with_policy(
     // power-of-two bucket's upper bound.
     latencies.sort_unstable();
     let latency_at = |q: f64| -> f64 {
-        let n = latencies.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-        device.config().cycles_to_seconds(latencies[rank - 1])
+        nearest_rank(&latencies, q).map_or(0.0, |c| device.config().cycles_to_seconds(c))
     };
 
     Ok(BatchReport {
@@ -1037,8 +930,6 @@ pub fn execute_batch_compiled_with_policy(
         engine_busy_seconds,
         engine_utilization,
         profile,
-        free_errors: device.metrics().counter("kw_free_errors_total"),
-        first_free_error: device.first_free_error().map(String::from),
         admission,
     })
 }

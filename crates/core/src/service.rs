@@ -171,22 +171,13 @@ pub struct ServiceReport {
     pub queries: Vec<ServiceQueryReport>,
 }
 
-/// Exact nearest-rank percentile over `sorted` (ascending); 0.0 when empty.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
 fn percentiles(latencies: &mut [f64]) -> ServicePercentiles {
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let at = |q| crate::scheduler::nearest_rank(latencies, q).unwrap_or(0.0);
     ServicePercentiles {
-        p50_seconds: percentile(latencies, 0.50),
-        p95_seconds: percentile(latencies, 0.95),
-        p99_seconds: percentile(latencies, 0.99),
+        p50_seconds: at(0.50),
+        p95_seconds: at(0.95),
+        p99_seconds: at(0.99),
     }
 }
 
@@ -329,16 +320,15 @@ pub fn run_service_with_policy(
         let dispatch_start = now;
         let batch_queries: Vec<BatchQuery<'_>> =
             batch.iter().map(|&ai| shapes[ai % shapes.len()]).collect();
-        let batch_compiled: Vec<CompiledPlan> = batch
+        // Dispatched arrivals hand their compiled plans to the batch: a
+        // session holds one plan per queued arrival, not one per arrival.
+        let (batch_compiled, batch_cache): (Vec<CompiledPlan>, Vec<(bool, f64)>) = batch
             .iter()
             .map(|&ai| {
-                prepared[ai]
-                    .as_ref()
-                    .expect("admitted ⇒ prepared")
-                    .0
-                    .clone()
+                let (compiled, hit, cost) = prepared[ai].take().expect("admitted ⇒ prepared");
+                (compiled, (hit, cost))
             })
-            .collect();
+            .unzip();
         let report = execute_batch_compiled_with_policy(
             &batch_queries,
             &batch_compiled,
@@ -350,9 +340,9 @@ pub fn run_service_with_policy(
         busy_seconds += report.makespan_seconds;
         now = dispatch_start + report.makespan_seconds;
 
-        for (&ai, qr) in batch.iter().zip(&report.queries) {
+        for ((&ai, qr), &(hit, compile_cost)) in batch.iter().zip(&report.queries).zip(&batch_cache)
+        {
             let shape = &shapes[ai % shapes.len()];
-            let (_, hit, compile_cost) = prepared[ai].as_ref().expect("admitted ⇒ prepared");
             let queueing = (dispatch_start - arrival_at[ai]).max(0.0);
             let execution = if qr.outcome.is_success() {
                 qr.latency_seconds
@@ -368,10 +358,10 @@ pub fn run_service_with_policy(
                 outcome: qr.outcome.clone(),
                 arrival_seconds: arrival_at[ai],
                 queueing_seconds: queueing,
-                compile_seconds: *compile_cost,
+                compile_seconds: compile_cost,
                 execution_seconds: execution,
                 total_seconds: queueing + execution,
-                cache_hit: *hit,
+                cache_hit: hit,
             });
         }
     }

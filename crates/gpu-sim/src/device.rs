@@ -1,7 +1,13 @@
 //! The simulated device facade.
 //!
-//! [`Device`] owns the memory tracker, statistics and span log, and is the
-//! single place where kernel launches and PCIe transfers are charged.
+//! [`Device`] owns the memory tracker, the span log and the metrics
+//! registry, and is the single place where kernel launches and PCIe
+//! transfers are charged. The span log is its only record of cost: every
+//! charge becomes one span, the aggregate [`SimStats`] is the running sum
+//! of the span deltas, and the span-derived metric series are folded from
+//! the log when the registry is read.
+
+use std::cell::OnceCell;
 
 use crate::{
     kernel_cost, pcie_seconds, ArenaStats, BufferId, DeviceConfig, Direction, Engine, EventId,
@@ -33,6 +39,8 @@ use crate::{
 pub struct Device {
     config: DeviceConfig,
     memory: MemoryTracker,
+    /// Running sum of every span's delta, written only by `record` (so
+    /// it always equals `sum_deltas(&spans)`, bit for bit).
     stats: SimStats,
     faults: Option<FaultInjector>,
     /// Structured trace: one span per charged operation (see [`Span`]).
@@ -42,16 +50,16 @@ pub struct Device {
     /// Unified trace clock: GPU cycles, PCIe time and backoff all advance
     /// it, so spans of all kinds share one timeline.
     clock_cycles: u64,
-    /// Running sum of span deltas; must always equal `stats` (the
-    /// reconciliation invariant, asserted in debug builds).
-    reconciled: SimStats,
     /// Stream/event scheduler for overlapped (asynchronous) operations.
     streams: StreamModel,
-    /// Deterministic telemetry: every recorded span publishes counters and
-    /// histograms here; driver layers add their own series on top.
+    /// The series no span carries: driver counters, memory and arena
+    /// gauges, latency histograms.
     metrics: MetricsRegistry,
+    /// `metrics` plus the span-derived series, folded on the first
+    /// `metrics()` read after a change and dropped by every change.
+    metrics_view: OnceCell<MetricsRegistry>,
     /// First swallowed free error (drain-on-error paths): accounting
-    /// corruption that must surface on reports instead of vanishing.
+    /// corruption that must surface instead of vanishing.
     first_free_error: Option<String>,
 }
 
@@ -68,9 +76,9 @@ impl Device {
             spans: Vec::new(),
             scope: Vec::new(),
             clock_cycles: 0,
-            reconciled: SimStats::default(),
             streams,
             metrics: MetricsRegistry::default(),
+            metrics_view: OnceCell::new(),
             first_free_error: None,
         }
     }
@@ -102,29 +110,31 @@ impl Device {
     }
 
     /// Whether an injected fault fires for the next operation of `kind`;
-    /// when it does, the fault is recorded in the stats and trace.
+    /// when it does, the fault is recorded as a `Fault` span.
     fn fault_fires(&mut self, kind: FaultKind, label: &str) -> bool {
         let fires = self.faults.as_mut().is_some_and(|f| f.should_fault(kind));
         if fires {
-            let before = self.stats;
-            self.stats.faults_injected += 1;
-            self.record_span(
+            let delta = SimStats {
+                faults_injected: 1,
+                ..SimStats::default()
+            };
+            self.record_serial(
                 SpanKind::Fault,
                 format!("fault.{}:{label}", kind.name()),
-                before,
+                delta,
                 0,
             );
         }
         fires
     }
 
-    /// Record one span covering everything charged to `stats` since
-    /// `before`, advancing the trace clock by `duration_cycles`.
-    fn record_span(
+    /// Record one serial span charging `delta`, advancing the trace clock
+    /// by `duration_cycles`.
+    fn record_serial(
         &mut self,
         kind: SpanKind,
         label: String,
-        before: SimStats,
+        delta: SimStats,
         duration_cycles: u64,
     ) {
         let start_cycle = self.clock_cycles;
@@ -132,26 +142,30 @@ impl Device {
         // exponential backoff that left f64 range) clamps instead of
         // wrapping the clock backwards.
         self.clock_cycles = self.clock_cycles.saturating_add(duration_cycles);
-        self.record_span_at(kind, label, before, start_cycle, self.clock_cycles, None);
+        self.record(kind, label, delta, start_cycle, self.clock_cycles, None);
     }
 
-    /// Record one span with an explicit `[start, end)` cycle interval
-    /// (streamed operations: the interval comes from the stream scheduler,
-    /// and the serial trace clock does NOT advance — issuing async work is
-    /// free; only [`Device::sync_streams`] moves the clock). The span delta
-    /// still feeds the reconciliation invariant.
-    fn record_span_at(
+    /// The one span recorder: append a span charging `delta` over
+    /// `[start_cycle, end_cycle)` and add `delta` to the aggregate stats.
+    /// Nothing else writes the aggregate, so it is the span log's sum by
+    /// construction. Streamed operations pass the interval the stream
+    /// scheduler chose; the serial trace clock does not move for them
+    /// (issuing async work is free; only [`Device::sync_streams`] moves it).
+    fn record(
         &mut self,
         kind: SpanKind,
         label: String,
-        before: SimStats,
+        delta: SimStats,
         start_cycle: u64,
         end_cycle: u64,
         engine: Option<Engine>,
     ) {
-        let delta = self.stats.diff(&before);
-        self.reconciled.merge(&delta);
-        self.publish_span_metrics(kind, end_cycle - start_cycle, &delta);
+        self.stats.merge(&delta);
+        debug_assert!(
+            self.stats.cycles_consistent(),
+            "gpu_cycles drifted from its component cycle counters at {label:?}"
+        );
+        self.metrics_view.take();
         self.spans.push(Span {
             id: self.spans.len() as u64,
             kind,
@@ -162,51 +176,59 @@ impl Device {
             delta,
             engine,
         });
-        #[cfg(debug_assertions)]
-        if let Err(e) = crate::trace::compare_stats(&self.reconciled, &self.stats) {
-            panic!("span accounting drifted from aggregate stats: {e}");
-        }
     }
 
-    /// Publish one recorded span into the metrics registry. Every span —
-    /// serial or streamed — funnels through here, so registry counters are
-    /// a third independent view of the same costs (after the aggregate
-    /// `SimStats` and the span log) that tests can reconcile.
-    fn publish_span_metrics(&mut self, kind: SpanKind, cycles: u64, delta: &SimStats) {
-        let m = &mut self.metrics;
-        m.inc("kw_spans_total", 1);
-        let per_kind = match kind {
-            SpanKind::Kernel => "kw_kernel_spans_total",
-            SpanKind::Transfer => "kw_pcie_spans_total",
-            SpanKind::Alloc => "kw_alloc_spans_total",
-            SpanKind::Free => "kw_free_spans_total",
-            SpanKind::Fault => "kw_fault_spans_total",
-            SpanKind::Backoff => "kw_backoff_spans_total",
-        };
-        m.inc(per_kind, 1);
-        match kind {
-            SpanKind::Kernel => m.observe("kw_kernel_cycles", cycles),
-            SpanKind::Transfer => m.observe("kw_pcie_cycles", cycles),
-            SpanKind::Backoff => m.observe("kw_backoff_cycles", cycles),
-            _ => {}
-        }
-        m.inc("kw_kernel_launches_total", delta.kernel_launches);
-        m.inc("kw_launch_cycles_total", delta.launch_cycles);
-        m.inc("kw_gpu_cycles_total", delta.gpu_cycles);
-        m.inc("kw_global_bytes_total", delta.global_bytes());
-        m.inc("kw_h2d_bytes_total", delta.h2d_bytes);
-        m.inc("kw_d2h_bytes_total", delta.d2h_bytes);
-        m.inc("kw_faults_injected_total", delta.faults_injected);
-    }
-
-    /// The device's metrics registry (read side: exporters, tests).
+    /// The device's metrics: the stored driver series plus the series
+    /// folded from the span log — `kw_spans_total`, one span counter per
+    /// [`SpanKind`], the `kw_kernel_cycles` / `kw_pcie_cycles` /
+    /// `kw_backoff_cycles` duration histograms and the `SimStats` mirrors
+    /// (`kw_gpu_cycles_total`, `kw_h2d_bytes_total`, ...). The fold costs
+    /// O(spans) on the first read after a change and is cached until the
+    /// next one, so exporters and tests read it freely; library paths read
+    /// [`Device::stats`] and [`Device::spans`] instead.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        self.metrics_view.get_or_init(|| {
+            let mut m = self.metrics.clone();
+            for s in &self.spans {
+                let (counter, histogram) = match s.kind {
+                    SpanKind::Kernel => ("kw_kernel_spans_total", Some("kw_kernel_cycles")),
+                    SpanKind::Transfer => ("kw_pcie_spans_total", Some("kw_pcie_cycles")),
+                    SpanKind::Backoff => ("kw_backoff_spans_total", Some("kw_backoff_cycles")),
+                    SpanKind::Alloc => ("kw_alloc_spans_total", None),
+                    SpanKind::Free => ("kw_free_spans_total", None),
+                    SpanKind::Fault => ("kw_fault_spans_total", None),
+                };
+                m.inc("kw_spans_total", 1);
+                m.inc(counter, 1);
+                if let Some(h) = histogram {
+                    m.observe(h, s.cycles());
+                }
+            }
+            // The aggregate is the span log's sum, so its mirrors need no
+            // second pass; like every span series they exist once a span
+            // does.
+            if !self.spans.is_empty() {
+                let t = &self.stats;
+                for (name, v) in [
+                    ("kw_kernel_launches_total", t.kernel_launches),
+                    ("kw_launch_cycles_total", t.launch_cycles),
+                    ("kw_gpu_cycles_total", t.gpu_cycles),
+                    ("kw_global_bytes_total", t.global_bytes()),
+                    ("kw_h2d_bytes_total", t.h2d_bytes),
+                    ("kw_d2h_bytes_total", t.d2h_bytes),
+                    ("kw_faults_injected_total", t.faults_injected),
+                ] {
+                    m.inc(name, v);
+                }
+            }
+            m
+        })
     }
 
-    /// Mutable access to the metrics registry, for driver layers (executor,
-    /// resilient driver, batch scheduler) publishing their own series.
+    /// Mutable access to the stored series, for driver layers (executor,
+    /// resilient driver, batch scheduler) publishing their own.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
+        self.metrics_view.take();
         &mut self.metrics
     }
 
@@ -270,9 +292,8 @@ impl Device {
         self.stats = SimStats::default();
         self.spans.clear();
         self.clock_cycles = 0;
-        self.reconciled = SimStats::default();
         self.streams.reset();
-        self.metrics.reset();
+        self.metrics_mut().reset();
     }
 
     /// Allocate a global-memory buffer.
@@ -287,8 +308,7 @@ impl Device {
             return Err(SimError::AllocFault { requested: bytes });
         }
         let id = self.memory.alloc(bytes, label.clone())?;
-        let before = self.stats;
-        self.record_span(SpanKind::Alloc, label, before, 0);
+        self.record_serial(SpanKind::Alloc, label, SimStats::default(), 0);
         self.publish_memory_gauges();
         Ok(id)
     }
@@ -301,18 +321,22 @@ impl Device {
     pub fn free(&mut self, id: BufferId) -> Result<()> {
         let bytes = self.memory.size_of(id)?;
         self.memory.free(id)?;
-        let before = self.stats;
-        self.record_span(SpanKind::Free, format!("free.{bytes}B"), before, 0);
+        self.record_serial(
+            SpanKind::Free,
+            format!("free.{bytes}B"),
+            SimStats::default(),
+            0,
+        );
         self.publish_memory_gauges();
         Ok(())
     }
 
     /// Refresh the device-memory gauges after an alloc/free.
     fn publish_memory_gauges(&mut self) {
-        self.metrics
-            .set_gauge("kw_device_mem_in_use_bytes", self.memory.in_use() as f64);
-        self.metrics
-            .set_gauge("kw_device_mem_peak_bytes", self.memory.peak() as f64);
+        let (in_use, peak) = (self.memory.in_use(), self.memory.peak());
+        let m = self.metrics_mut();
+        m.set_gauge("kw_device_mem_in_use_bytes", in_use as f64);
+        m.set_gauge("kw_device_mem_peak_bytes", peak as f64);
     }
 
     /// Reserve a [`ScratchArena`] of `bytes` in one backing allocation.
@@ -344,35 +368,40 @@ impl Device {
     pub fn release_arena(&mut self, arena: ScratchArena) -> Result<ArenaStats> {
         let stats = arena.stats();
         self.free(arena.backing())?;
-        self.metrics
-            .set_gauge("kw_arena_reservation_bytes", stats.reservation as f64);
-        let hw = self
-            .metrics
+        let m = self.metrics_mut();
+        m.set_gauge("kw_arena_reservation_bytes", stats.reservation as f64);
+        let hw = m
             .gauge("kw_arena_high_water_bytes")
             .unwrap_or(0.0)
             .max(stats.high_water as f64);
-        self.metrics.set_gauge("kw_arena_high_water_bytes", hw);
-        self.metrics
-            .inc("kw_arena_suballocs_total", stats.sub_allocs);
-        self.metrics.inc("kw_arena_resets_total", stats.resets);
+        m.set_gauge("kw_arena_high_water_bytes", hw);
+        m.inc("kw_arena_suballocs_total", stats.sub_allocs);
+        m.inc("kw_arena_resets_total", stats.resets);
         Ok(stats)
     }
 
-    /// Fold a scratch fork's memory peak into this device's high-water
-    /// accounting. Chunked execution runs each chunk on a forked scratch
+    /// Fold a scratch fork's memory peak and swallowed free errors into
+    /// this device. Chunked execution runs each chunk on a forked scratch
     /// device; the bytes it held are bytes the simulated hardware really
     /// held, so the parent's `peak()` and `kw_device_mem_peak_bytes`
-    /// gauge must see them.
-    pub fn absorb_scratch_peak(&mut self, bytes: u64) {
-        self.memory.raise_peak(bytes);
+    /// gauge must see them, and accounting corruption on the fork must
+    /// surface on the parent (`kw_free_errors_total`,
+    /// [`Device::first_free_error`]). The fork's span log is not copied.
+    pub fn absorb_scratch(&mut self, scratch: &Device) {
+        self.memory.raise_peak(scratch.memory.peak());
         self.publish_memory_gauges();
+        let errors = scratch.metrics.counter("kw_free_errors_total");
+        self.metrics_mut().inc("kw_free_errors_total", errors);
+        if self.first_free_error.is_none() {
+            self.first_free_error.clone_from(&scratch.first_free_error);
+        }
     }
 
     /// Count a swallowed free error from a drain-on-error path
-    /// (`kw_free_errors_total`) and retain the first one so reports can
+    /// (`kw_free_errors_total`) and retain the first one so callers can
     /// surface it instead of silently dropping accounting corruption.
     pub fn note_free_error(&mut self, e: &SimError) {
-        self.metrics.inc("kw_free_errors_total", 1);
+        self.metrics_mut().inc("kw_free_errors_total", 1);
         if self.first_free_error.is_none() {
             self.first_free_error = Some(e.to_string());
         }
@@ -398,16 +427,16 @@ impl Device {
         q: &KernelQuantities,
     ) -> Result<KernelCost> {
         let label = label.into();
-        let (before, cost) = self.charge_kernel(&label, dims, res, q)?;
-        self.record_span(SpanKind::Kernel, label, before, cost.total_cycles());
+        let (delta, cost) = self.price_kernel(&label, dims, res, q)?;
+        self.record_serial(SpanKind::Kernel, label, delta, cost.total_cycles());
         Ok(cost)
     }
 
-    /// Fault-check, price and charge one kernel execution to the stats.
-    /// Span recording is left to the caller: serial launches
-    /// advance the trace clock, streamed launches take their interval from
-    /// the stream scheduler.
-    fn charge_kernel(
+    /// Fault-check and price one kernel execution, returning the delta it
+    /// charges. Recording is left to the caller: serial launches advance
+    /// the trace clock, streamed launches take their interval from the
+    /// stream scheduler.
+    fn price_kernel(
         &mut self,
         label: &str,
         dims: LaunchDims,
@@ -426,26 +455,23 @@ impl Device {
                     res.registers_per_thread, res.shared_per_cta, dims.threads_per_cta
                 ),
             })?;
-
-        let before = self.stats;
-        self.stats.kernel_launches += 1;
-        self.stats.launch_cycles += cost.launch_cycles;
-        self.stats.global_bytes_read += q.global_bytes_read;
-        self.stats.global_bytes_written += q.global_bytes_written;
-        self.stats.global_access_cycles += cost.global_cycles;
-        self.stats.shared_bytes_read += q.shared_bytes_read;
-        self.stats.shared_bytes_written += q.shared_bytes_written;
-        self.stats.shared_access_cycles += cost.shared_cycles;
-        self.stats.alu_ops += q.alu_ops;
-        self.stats.alu_cycles += cost.alu_cycles;
-        self.stats.barriers += q.barriers;
-        self.stats.barrier_cycles += cost.barrier_cycles;
-        self.stats.gpu_cycles += cost.total_cycles();
-        debug_assert!(
-            self.stats.cycles_consistent(),
-            "gpu_cycles drifted from its component cycle counters after kernel {label:?}"
-        );
-        Ok((before, cost))
+        let delta = SimStats {
+            kernel_launches: 1,
+            launch_cycles: cost.launch_cycles,
+            global_bytes_read: q.global_bytes_read,
+            global_bytes_written: q.global_bytes_written,
+            global_access_cycles: cost.global_cycles,
+            shared_bytes_read: q.shared_bytes_read,
+            shared_bytes_written: q.shared_bytes_written,
+            shared_access_cycles: cost.shared_cycles,
+            alu_ops: q.alu_ops,
+            alu_cycles: cost.alu_cycles,
+            barriers: q.barriers,
+            barrier_cycles: cost.barrier_cycles,
+            gpu_cycles: cost.total_cycles(),
+            ..SimStats::default()
+        };
+        Ok((delta, cost))
     }
 
     /// Charge a PCIe transfer and record it. Returns the transfer seconds.
@@ -455,46 +481,50 @@ impl Device {
     /// Returns [`SimError::TransferFault`] when an injected transient fault
     /// fires; the failed transfer is charged nothing.
     pub fn transfer(&mut self, direction: Direction, bytes: u64) -> Result<f64> {
-        let (before, seconds) = self.charge_transfer(direction, bytes)?;
-        self.record_span(
+        let (delta, seconds) = self.price_transfer(direction, bytes)?;
+        self.record_serial(
             SpanKind::Transfer,
             format!("{direction:?}.{bytes}B"),
-            before,
+            delta,
             self.config.seconds_to_cycles(seconds),
         );
         Ok(seconds)
     }
 
-    /// Fault-check, price and charge one PCIe transfer to the stats (span
-    /// recording left to the caller, as with [`Device::charge_kernel`]).
-    fn charge_transfer(&mut self, direction: Direction, bytes: u64) -> Result<(SimStats, f64)> {
+    /// Fault-check and price one PCIe transfer (recording left to the
+    /// caller, as with [`Device::price_kernel`]).
+    fn price_transfer(&mut self, direction: Direction, bytes: u64) -> Result<(SimStats, f64)> {
         if self.fault_fires(FaultKind::Transfer, &format!("{direction:?}")) {
             return Err(SimError::TransferFault { direction, bytes });
         }
         let seconds = pcie_seconds(&self.config, bytes);
-        let before = self.stats;
-        match direction {
-            Direction::HostToDevice => {
-                self.stats.h2d_transfers += 1;
-                self.stats.h2d_bytes += bytes;
-            }
-            Direction::DeviceToHost => {
-                self.stats.d2h_transfers += 1;
-                self.stats.d2h_bytes += bytes;
-            }
-        }
-        self.stats.pcie_seconds += seconds;
-        Ok((before, seconds))
+        let delta = match direction {
+            Direction::HostToDevice => SimStats {
+                h2d_transfers: 1,
+                h2d_bytes: bytes,
+                pcie_seconds: seconds,
+                ..SimStats::default()
+            },
+            Direction::DeviceToHost => SimStats {
+                d2h_transfers: 1,
+                d2h_bytes: bytes,
+                pcie_seconds: seconds,
+                ..SimStats::default()
+            },
+        };
+        Ok((delta, seconds))
     }
 
     /// Charge simulated wall-clock time spent backing off before a retry.
     pub fn charge_backoff(&mut self, seconds: f64) {
-        let before = self.stats;
-        self.stats.backoff_seconds += seconds;
-        self.record_span(
+        let delta = SimStats {
+            backoff_seconds: seconds,
+            ..SimStats::default()
+        };
+        self.record_serial(
             SpanKind::Backoff,
             "backoff".to_string(),
-            before,
+            delta,
             self.config.seconds_to_cycles(seconds),
         );
     }
@@ -517,7 +547,7 @@ impl Device {
     /// Launch a kernel asynchronously on `stream`.
     ///
     /// Charges exactly what [`Device::launch`] charges (stats, fault
-    /// injection, reconcilable span), but the span's interval comes
+    /// injection, one span), but the span's interval comes
     /// from the stream scheduler and the serial trace clock does not
     /// advance — call [`Device::sync_streams`] to realize the wallclock.
     ///
@@ -535,7 +565,7 @@ impl Device {
     ) -> Result<KernelCost> {
         let label = label.into();
         self.streams.validate(stream)?;
-        let (before, cost) = self.charge_kernel(&label, dims, res, q)?;
+        let (delta, cost) = self.price_kernel(&label, dims, res, q)?;
         let engine = self.streams.compute_engine(stream);
         let (start, end) = self.streams.schedule(
             stream,
@@ -544,7 +574,7 @@ impl Device {
             cost.total_cycles(),
             self.clock_cycles,
         )?;
-        self.record_span_at(SpanKind::Kernel, label, before, start, end, Some(engine));
+        self.record(SpanKind::Kernel, label, delta, start, end, Some(engine));
         Ok(cost)
     }
 
@@ -563,7 +593,7 @@ impl Device {
         bytes: u64,
     ) -> Result<f64> {
         self.streams.validate(stream)?;
-        let (before, seconds) = self.charge_transfer(direction, bytes)?;
+        let (delta, seconds) = self.price_transfer(direction, bytes)?;
         let engine = match direction {
             Direction::HostToDevice => Engine::CopyH2D,
             Direction::DeviceToHost => Engine::CopyD2H,
@@ -576,7 +606,7 @@ impl Device {
             self.config.seconds_to_cycles(seconds),
             self.clock_cycles,
         )?;
-        self.record_span_at(SpanKind::Transfer, label, before, start, end, Some(engine));
+        self.record(SpanKind::Transfer, label, delta, start, end, Some(engine));
         Ok(seconds)
     }
 
@@ -585,10 +615,10 @@ impl Device {
     ///
     /// Chunked execution prices each chunk on a scratch device and uses
     /// this to mirror the chunk's kernel-side counters into the parent's
-    /// stats/trace as one streamed compute span. `delta` must be
-    /// compute-only (no transfer or fault counters — those are mirrored
-    /// separately as real streamed transfers, and double counting would
-    /// break the reconciliation invariant).
+    /// span log as one streamed compute span. `delta` must be compute-only
+    /// (`delta == delta.compute_only()`, see [`SimStats::compute_only`]):
+    /// transfers and faults are mirrored separately as real streamed
+    /// transfers, and charging them here too would count them twice.
     ///
     /// # Errors
     ///
@@ -603,20 +633,8 @@ impl Device {
         let label = label.into();
         self.streams.validate(stream)?;
         debug_assert!(
-            delta.h2d_transfers == 0
-                && delta.d2h_transfers == 0
-                && delta.h2d_bytes == 0
-                && delta.d2h_bytes == 0
-                && delta.pcie_seconds == 0.0
-                && delta.faults_injected == 0
-                && delta.backoff_seconds == 0.0,
+            *delta == delta.compute_only(),
             "compute_on delta must be compute-only: {delta:?}"
-        );
-        let before = self.stats;
-        self.stats.merge(delta);
-        debug_assert!(
-            self.stats.cycles_consistent(),
-            "mirrored compute delta broke cycle consistency for {label:?}"
         );
         let engine = self.streams.compute_engine(stream);
         let (start, end) = self.streams.schedule(
@@ -626,7 +644,7 @@ impl Device {
             duration_cycles,
             self.clock_cycles,
         )?;
-        self.record_span_at(SpanKind::Kernel, label, before, start, end, Some(engine));
+        self.record(SpanKind::Kernel, label, *delta, start, end, Some(engine));
         Ok(())
     }
 
@@ -814,11 +832,18 @@ mod tests {
         let mut d = device();
         let b = d.alloc(100, "x").unwrap();
         d.free(b).unwrap();
-        d.absorb_scratch_peak(5000);
+        let mut scratch = d.fork_scratch();
+        let s = scratch.alloc(5000, "chunk").unwrap();
+        scratch.free(s).unwrap();
+        scratch.note_free_error(&SimError::InvalidBuffer { id: 3 });
+        d.absorb_scratch(&scratch);
         assert_eq!(d.memory().peak(), 5000);
         assert_eq!(d.metrics().gauge("kw_device_mem_peak_bytes"), Some(5000.0));
+        assert_eq!(d.metrics().counter("kw_free_errors_total"), 1);
+        assert!(d.first_free_error().unwrap().contains('3'));
+        assert_eq!(d.spans().len(), 2, "the fork's spans stay on the fork");
         // Absorbing a smaller peak is a no-op (high-water semantics).
-        d.absorb_scratch_peak(10);
+        d.absorb_scratch(&device());
         assert_eq!(d.memory().peak(), 5000);
     }
 
@@ -1020,10 +1045,13 @@ mod tests {
             &quantities(1 << 20),
         )
         .unwrap();
+        // The mirrors are the span log's sums, and so is the aggregate.
+        let sum = crate::sum_deltas(d.spans());
+        assert_eq!(sum, *d.stats());
         let m = d.metrics();
-        assert_eq!(m.counter("kw_gpu_cycles_total"), d.stats().gpu_cycles);
-        assert_eq!(m.counter("kw_global_bytes_total"), d.stats().global_bytes());
-        assert_eq!(m.counter("kw_h2d_bytes_total"), d.stats().h2d_bytes);
+        assert_eq!(m.counter("kw_gpu_cycles_total"), sum.gpu_cycles);
+        assert_eq!(m.counter("kw_global_bytes_total"), sum.global_bytes());
+        assert_eq!(m.counter("kw_h2d_bytes_total"), sum.h2d_bytes);
         assert_eq!(m.counter("kw_kernel_launches_total"), 2);
         assert_eq!(m.counter("kw_kernel_spans_total"), 2);
         assert_eq!(m.counter("kw_pcie_spans_total"), 1);
@@ -1040,7 +1068,13 @@ mod tests {
             Some((1 << 20) as f64)
         );
         d.free(b).unwrap();
+        // A read after a new span folds it in.
         assert_eq!(d.metrics().gauge("kw_device_mem_in_use_bytes"), Some(0.0));
+        assert_eq!(d.metrics().counter("kw_free_spans_total"), 1);
+        assert_eq!(
+            d.metrics().counter("kw_spans_total"),
+            d.spans().len() as u64
+        );
         d.reset_stats();
         assert!(d.metrics().is_empty());
     }

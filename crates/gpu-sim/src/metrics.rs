@@ -1,10 +1,11 @@
 //! Deterministic metrics: counters, gauges, and log-bucketed histograms.
 //!
-//! The registry is the operational face of the simulator. The
-//! [`Device`](crate::Device) publishes every span it records (kernel
-//! launches, PCIe transfers, faults, backoff) into one
-//! [`MetricsRegistry`], and the kw-core drivers layer their own series on
-//! top (plans executed, retries, degradations, batch latency). Every
+//! The registry is the operational face of the simulator. A
+//! [`Device`](crate::Device) stores only the series no span carries —
+//! memory and arena gauges, and the kw-core drivers' own series (plans
+//! executed, retries, degradations, batch latency) — and folds the
+//! span-derived ones (span counts per kind, duration histograms, the
+//! `SimStats` mirrors) from its span log when the registry is read. Every
 //! value is derived from the simulated cycle clock or from byte counts —
 //! no wallclock ever enters the registry — so two identical seeded runs
 //! export byte-identical snapshots. That byte-stability is what lets CI

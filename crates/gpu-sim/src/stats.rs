@@ -100,10 +100,28 @@ impl SimStats {
     /// The counter-wise difference `self - earlier` (saturating at zero).
     ///
     /// Counters only grow, so for two snapshots of the same device this is
-    /// the cost charged between them — the per-span delta recorded by
-    /// [`crate::Device`] tracing.
+    /// the cost charged between them (up to `f64` rounding in the two
+    /// seconds counters; the exact per-operation amounts are the span
+    /// deltas).
     pub fn diff(&self, earlier: &SimStats) -> SimStats {
         for_each_counter!(self, earlier, saturating_sub, -)
+    }
+
+    /// The kernel-side counters of this block, with every transfer, fault
+    /// and backoff counter zeroed: what a streamed compute span may charge
+    /// ([`crate::Device::compute_on`]) when the block's transfers are
+    /// charged separately as transfer spans.
+    pub fn compute_only(&self) -> SimStats {
+        SimStats {
+            h2d_transfers: 0,
+            h2d_bytes: 0,
+            d2h_transfers: 0,
+            d2h_bytes: 0,
+            pcie_seconds: 0.0,
+            faults_injected: 0,
+            backoff_seconds: 0.0,
+            ..*self
+        }
     }
 
     /// Whether `gpu_cycles` equals the sum of its component cycle counters
@@ -183,6 +201,35 @@ mod tests {
         back.merge(&d);
         assert_eq!(back.kernel_launches, a.kernel_launches);
         assert_eq!(back.gpu_cycles, a.gpu_cycles);
+    }
+
+    #[test]
+    fn compute_only_keeps_kernel_counters_and_drops_the_rest() {
+        let all = SimStats {
+            kernel_launches: 2,
+            gpu_cycles: 70,
+            launch_cycles: 70,
+            alu_ops: 5,
+            h2d_transfers: 1,
+            h2d_bytes: 64,
+            d2h_transfers: 1,
+            d2h_bytes: 32,
+            pcie_seconds: 0.5,
+            faults_injected: 3,
+            backoff_seconds: 0.25,
+            ..SimStats::default()
+        };
+        let compute = all.compute_only();
+        assert_eq!(compute.compute_only(), compute, "idempotent");
+        assert_eq!((compute.kernel_launches, compute.gpu_cycles), (2, 70));
+        assert_eq!(compute.alu_ops, 5);
+        assert_eq!(compute.pcie_bytes() + compute.h2d_transfers, 0);
+        assert_eq!(compute.faults_injected, 0);
+        assert_eq!((compute.pcie_seconds, compute.backoff_seconds), (0.0, 0.0));
+        // What compute_only drops is exactly what a transfer-only block holds.
+        let mut back = compute;
+        back.merge(&all.diff(&compute));
+        assert_eq!(back, all);
     }
 
     #[test]

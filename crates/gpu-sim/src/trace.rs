@@ -9,15 +9,14 @@
 //! Spans make the simulator's aggregate counters *attributable*: the paper
 //! argues through end-of-run totals (global-memory cycles of Fig. 18,
 //! allocation of Fig. 17, PCIe traffic of Fig. 21), and spans show which
-//! woven kernel each cycle and byte belongs to. They are also a standing
-//! correctness check: [`reconcile`] asserts that per-span deltas sum back to
-//! the aggregate — any cost the device charges outside a span, or charges
-//! twice, fails the invariant. Debug builds enforce it after every recorded
-//! span.
+//! woven kernel each cycle and byte belongs to.
 //!
-//! The span log is the device's only per-operation record: per-operator
-//! breakdowns such as the paper's "SORT is ~71% of Q1" fold kernel spans by
-//! label ([`cycles_for_label`]).
+//! The span log is the device's only record of cost. The aggregate
+//! [`SimStats`] a device reports is the running sum of its span deltas
+//! ([`reconcile`] checks that a stats block is exactly [`sum_deltas`] of a
+//! span list), its span metrics are folded from the log when read, and
+//! per-operator breakdowns such as the paper's "SORT is ~71% of Q1" fold
+//! kernel spans by label ([`cycles_for_label`]).
 //!
 //! [`TraceSink`] exports a span list as Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) and as a per-operator summary table.
@@ -78,8 +77,8 @@ pub struct Span {
     /// End position on the cycle clock (equal to `start_cycle` for instant
     /// events).
     pub end_cycle: u64,
-    /// Exactly what this operation charged: the difference between the
-    /// device's aggregate [`SimStats`] after and before it.
+    /// Exactly what this operation charged; the device's aggregate
+    /// [`SimStats`] is the sum of these over its span log.
     pub delta: SimStats,
     /// The hardware engine this operation occupied, when it went through
     /// the stream model (`None` for serial-path and instant events). Used
@@ -106,101 +105,57 @@ pub fn sum_deltas(spans: &[Span]) -> SimStats {
 
 /// Check that the per-span deltas of `spans` sum to `aggregate`.
 ///
-/// Integer counters must match exactly; the two `f64` counters
-/// (`pcie_seconds`, `backoff_seconds`) within a relative 1e-9.
+/// Every counter must match exactly, the two `f64` counters
+/// (`pcie_seconds`, `backoff_seconds`) included: a device's aggregate is
+/// the in-order sum of its span deltas, which [`sum_deltas`] repeats
+/// operation for operation.
 ///
 /// # Errors
 ///
 /// Returns a description of the first mismatching counter.
 pub fn reconcile(spans: &[Span], aggregate: &SimStats) -> Result<(), String> {
-    compare_stats(&sum_deltas(spans), aggregate)
-}
-
-/// The comparison behind [`reconcile`], for callers that already hold the
-/// summed deltas (the device's debug-build invariant keeps a running sum).
-pub(crate) fn compare_stats(sum: &SimStats, aggregate: &SimStats) -> Result<(), String> {
-    let ints = [
-        (
-            "kernel_launches",
-            sum.kernel_launches,
-            aggregate.kernel_launches,
-        ),
-        ("launch_cycles", sum.launch_cycles, aggregate.launch_cycles),
-        (
-            "global_bytes_read",
-            sum.global_bytes_read,
-            aggregate.global_bytes_read,
-        ),
-        (
-            "global_bytes_written",
-            sum.global_bytes_written,
-            aggregate.global_bytes_written,
-        ),
-        (
-            "global_access_cycles",
-            sum.global_access_cycles,
-            aggregate.global_access_cycles,
-        ),
-        (
-            "shared_bytes_read",
-            sum.shared_bytes_read,
-            aggregate.shared_bytes_read,
-        ),
-        (
-            "shared_bytes_written",
-            sum.shared_bytes_written,
-            aggregate.shared_bytes_written,
-        ),
-        (
-            "shared_access_cycles",
-            sum.shared_access_cycles,
-            aggregate.shared_access_cycles,
-        ),
-        ("alu_ops", sum.alu_ops, aggregate.alu_ops),
-        ("alu_cycles", sum.alu_cycles, aggregate.alu_cycles),
-        ("barriers", sum.barriers, aggregate.barriers),
-        (
-            "barrier_cycles",
-            sum.barrier_cycles,
-            aggregate.barrier_cycles,
-        ),
-        ("gpu_cycles", sum.gpu_cycles, aggregate.gpu_cycles),
-        ("h2d_transfers", sum.h2d_transfers, aggregate.h2d_transfers),
-        ("h2d_bytes", sum.h2d_bytes, aggregate.h2d_bytes),
-        ("d2h_transfers", sum.d2h_transfers, aggregate.d2h_transfers),
-        ("d2h_bytes", sum.d2h_bytes, aggregate.d2h_bytes),
-        (
-            "faults_injected",
-            sum.faults_injected,
-            aggregate.faults_injected,
-        ),
-    ];
-    for (name, got, want) in ints {
-        if got != want {
-            return Err(format!(
-                "trace does not reconcile: sum of span deltas has {name}={got}, \
-                 aggregate SimStats has {name}={want}"
-            ));
-        }
+    let sum = sum_deltas(spans);
+    if sum == *aggregate {
+        return Ok(());
     }
-    let floats = [
-        ("pcie_seconds", sum.pcie_seconds, aggregate.pcie_seconds),
-        (
-            "backoff_seconds",
-            sum.backoff_seconds,
-            aggregate.backoff_seconds,
-        ),
-    ];
-    for (name, got, want) in floats {
-        let tol = 1e-9 * want.abs().max(1.0);
-        if (got - want).abs() > tol {
-            return Err(format!(
-                "trace does not reconcile: sum of span deltas has {name}={got}, \
-                 aggregate SimStats has {name}={want}"
-            ));
-        }
+    macro_rules! first_mismatch {
+        ($($field:ident),*) => {$(
+            if sum.$field != aggregate.$field {
+                return Err(format!(
+                    "trace does not reconcile: sum of span deltas has {0}={1}, \
+                     aggregate SimStats has {0}={2}",
+                    stringify!($field),
+                    sum.$field,
+                    aggregate.$field
+                ));
+            }
+        )*};
     }
-    Ok(())
+    first_mismatch!(
+        kernel_launches,
+        launch_cycles,
+        global_bytes_read,
+        global_bytes_written,
+        global_access_cycles,
+        shared_bytes_read,
+        shared_bytes_written,
+        shared_access_cycles,
+        alu_ops,
+        alu_cycles,
+        barriers,
+        barrier_cycles,
+        gpu_cycles,
+        h2d_transfers,
+        h2d_bytes,
+        d2h_transfers,
+        d2h_bytes,
+        pcie_seconds,
+        faults_injected,
+        backoff_seconds
+    );
+    Err(format!(
+        "trace does not reconcile: sum of span deltas {sum:?}, aggregate SimStats {aggregate:?}"
+    ))
 }
 
 /// Aggregated cost of all spans sharing one provenance scope.
@@ -568,9 +523,10 @@ impl TraceSink {
         )
     }
 
-    /// [`TraceSink::export`] for a captured span log (e.g. the
-    /// `PlanReport` snapshot of a device that has since been dropped).
-    /// `aggregate` is the stats block the spans must reconcile against.
+    /// [`TraceSink::export`] for a span log held apart from its device
+    /// (e.g. spans and stats copied out of a device that has since been
+    /// dropped). `aggregate` is the stats block the spans must reconcile
+    /// against.
     ///
     /// # Errors
     ///

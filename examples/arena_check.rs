@@ -59,7 +59,7 @@ fn check_live() -> u32 {
                 }
             };
             let count =
-                |kind: SpanKind| report.spans.iter().filter(|s| s.kind == kind).count() as u64;
+                |kind: SpanKind| dev.spans().iter().filter(|s| s.kind == kind).count() as u64;
             let (allocs, frees) = (count(SpanKind::Alloc), count(SpanKind::Free));
             if allocs > SPAN_BOUND || frees > SPAN_BOUND {
                 eprintln!(

@@ -35,10 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // The paper's "overall" is the serialized compute + transfer
             // cost; staged total_seconds now measures streamed overlap.
             base.serialized_seconds / fused.serialized_seconds,
-            (base
-                .stats
+            (base_dev
+                .stats()
                 .pcie_bytes()
-                .saturating_sub(fused.stats.pcie_bytes()))
+                .saturating_sub(fused_dev.stats().pcie_bytes()))
                 >> 20,
         );
     }

@@ -75,7 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "kernel launches {:>9} {:>12}",
-        fused.stats.kernel_launches, base.stats.kernel_launches
+        fused_dev.stats().kernel_launches,
+        base_dev.stats().kernel_launches
     );
     println!(
         "GPU time        {:>8.3}ms {:>10.3}ms",
@@ -84,8 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "global traffic  {:>7}MiB {:>9}MiB",
-        fused.stats.global_bytes() >> 20,
-        base.stats.global_bytes() >> 20
+        fused_dev.stats().global_bytes() >> 20,
+        base_dev.stats().global_bytes() >> 20
     );
     println!(
         "\nkernel fusion speedup: {:.2}x",

@@ -42,19 +42,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Cost breakdown of the baseline: SORT dominates (paper: ~71%).
     let base_sort = cycles_for_label(base_dev.spans(), "sort");
-    let base_total = base.stats.gpu_cycles;
+    let base_total = base_dev.stats().gpu_cycles;
     println!(
         "\nbaseline: {} operators, {} kernels; SORT = {:.0}% of GPU cycles",
         base.operator_count,
-        base.stats.kernel_launches,
+        base_dev.stats().kernel_launches,
         100.0 * base_sort as f64 / base_total as f64
     );
     let fused_sort = cycles_for_label(fused_dev.spans(), "sort");
     println!(
         "fusion: overall {:.2}x speedup; {:.2}x on the non-SORT operators \
          (paper: 1.25x / 3.18x)",
-        base_total as f64 / fused.stats.gpu_cycles as f64,
-        (base_total - base_sort) as f64 / (fused.stats.gpu_cycles - fused_sort) as f64,
+        base_total as f64 / fused_dev.stats().gpu_cycles as f64,
+        (base_total - base_sort) as f64 / (fused_dev.stats().gpu_cycles - fused_sort) as f64,
     );
     Ok(())
 }

@@ -35,10 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(fused.outputs, base.outputs, "tracing changed the answer");
 
     let mut paths = Vec::new();
-    for (name, dev, report) in [
-        ("q1.fused", &fused_dev, &fused),
-        ("q1.baseline", &base_dev, &base),
-    ] {
+    for (name, dev) in [("q1.fused", &fused_dev), ("q1.baseline", &base_dev)] {
         // The invariant TraceSink::export also enforces, spelled out.
         reconcile(dev.spans(), dev.stats())
             .map_err(|e| format!("{name}: trace does not reconcile: {e}"))?;
@@ -55,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "\n{name}: {} spans ({kernels} kernels), {events} trace events, \
              {} global bytes",
             dev.spans().len(),
-            report.stats.global_bytes()
+            dev.stats().global_bytes()
         );
         print!("{}", summary_table(&operator_summary(dev.spans())));
         paths.push(sink.export(name, dev)?);
@@ -74,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fused trace should contain fewer kernel spans"
     );
     assert!(
-        fused.stats.global_bytes() < base.stats.global_bytes(),
+        fused_dev.stats().global_bytes() < base_dev.stats().global_bytes(),
         "fused trace should move less global memory"
     );
 

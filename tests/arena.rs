@@ -156,7 +156,7 @@ fn alloc_free_spans_are_o1_across_plan_depths() {
             let mut dev = device();
             let report = execute_plan(&plan, &[("t", &input)], &mut dev, &config).unwrap();
             assert_eq!(
-                span_counts(&report.spans),
+                span_counts(dev.spans()),
                 (1, 1),
                 "depth={depth} fusion={fusion}: spans must not scale with steps"
             );
@@ -407,7 +407,7 @@ proptest! {
         let chunked = execute_chunked(&plan, &[("t", &input)], &mut d2, &config, chunks).unwrap();
 
         prop_assert_eq!(&chunked.outputs, &resident.outputs);
-        prop_assert_eq!(span_counts(&resident.spans), (1, 1));
+        prop_assert_eq!(span_counts(d1.spans()), (1, 1));
         prop_assert_eq!(span_counts(d2.spans()), (0, 0));
         prop_assert_eq!(d2.memory().in_use(), 0);
     }

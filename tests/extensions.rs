@@ -188,7 +188,7 @@ fn staged_mode_overlaps_transfers_with_compute() {
     // summed with nothing hidden.
     let serial_sum = dev.gpu_seconds() + dev.pcie_secs();
     assert!((unfused.serialized_seconds - serial_sum).abs() < 1e-9);
-    kw_gpu_sim::reconcile(&unfused.spans, &unfused.stats).unwrap();
+    kw_gpu_sim::reconcile(dev.spans(), dev.stats()).unwrap();
 
     // Streaming must not change results: the staged run still matches a
     // resident run of the same plan.

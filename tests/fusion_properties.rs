@@ -92,8 +92,8 @@ proptest! {
         prop_assert_eq!(&fused.outputs, &base.outputs);
         // Fusion never moves more global bytes than the baseline.
         prop_assert!(
-            fused.stats.global_bytes() <= base.stats.global_bytes(),
-            "fused {} > base {}", fused.stats.global_bytes(), base.stats.global_bytes()
+            d1.stats().global_bytes() <= d2.stats().global_bytes(),
+            "fused {} > base {}", d1.stats().global_bytes(), d2.stats().global_bytes()
         );
     }
 
@@ -171,6 +171,6 @@ proptest! {
             .expect("O3");
         prop_assert_eq!(&o0.outputs, &o3.outputs);
         // O0 never beats O3 on GPU cycles.
-        prop_assert!(o0.stats.gpu_cycles >= o3.stats.gpu_cycles);
+        prop_assert!(d0.stats().gpu_cycles >= d3.stats().gpu_cycles);
     }
 }

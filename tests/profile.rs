@@ -13,7 +13,7 @@ fn run(
     config: DeviceConfig,
     mode: ExecMode,
     fusion: bool,
-) -> kw_core::PlanReport {
+) -> (kw_core::PlanReport, Device) {
     let w = pattern.build(n, 0xC2050);
     let weaver = WeaverConfig {
         fusion,
@@ -21,7 +21,8 @@ fn run(
         ..WeaverConfig::default()
     };
     let mut dev = Device::new(config);
-    w.run(&mut dev, &weaver).expect("workload executes")
+    let report = w.run(&mut dev, &weaver).expect("workload executes");
+    (report, dev)
 }
 
 /// Pattern (d) stages a shared input over an 8 GB/s PCIe link whose
@@ -31,7 +32,7 @@ fn run(
 #[test]
 fn pattern_d_staged_is_transfer_bound_on_fermi() {
     for fusion in [true, false] {
-        let report = run(
+        let (report, _) = run(
             Pattern::D,
             1 << 16,
             DeviceConfig::fermi_c2050(),
@@ -60,7 +61,7 @@ fn pattern_d_staged_is_transfer_bound_on_fermi() {
 /// the kernel's own cycles.
 #[test]
 fn pattern_a_fused_is_launch_or_compute_bound_without_pcie() {
-    let report = run(
+    let (report, _) = run(
         Pattern::A,
         2048,
         DeviceConfig::fused_apu(),
@@ -93,14 +94,14 @@ fn pattern_a_fused_is_launch_or_compute_bound_without_pcie() {
 #[test]
 fn fusion_reduces_launch_overhead_on_pattern_a() {
     let cfg = DeviceConfig::fused_apu();
-    let fused = run(Pattern::A, 2048, cfg.clone(), ExecMode::Resident, true);
-    let base = run(Pattern::A, 2048, cfg, ExecMode::Resident, false);
+    let (fused, fused_dev) = run(Pattern::A, 2048, cfg.clone(), ExecMode::Resident, true);
+    let (base, base_dev) = run(Pattern::A, 2048, cfg, ExecMode::Resident, false);
     println!(
         "launch seconds fused={:.9} base={:.9}",
         fused.profile.launch_seconds, base.profile.launch_seconds
     );
     assert!(fused.profile.launch_seconds < base.profile.launch_seconds);
-    assert!(fused.stats.kernel_launches < base.stats.kernel_launches);
+    assert!(fused_dev.stats().kernel_launches < base_dev.stats().kernel_launches);
 }
 
 /// Every derived figure stays in its mathematical range, and the JSON
@@ -109,7 +110,7 @@ fn fusion_reduces_launch_overhead_on_pattern_a() {
 fn profile_figures_are_bounded_and_exportable() {
     for pattern in Pattern::all() {
         for mode in [ExecMode::Resident, ExecMode::Staged] {
-            let report = run(pattern, 4096, DeviceConfig::fermi_c2050(), mode, true);
+            let (report, _) = run(pattern, 4096, DeviceConfig::fermi_c2050(), mode, true);
             let p = &report.profile;
             assert!(p.wall_seconds > 0.0, "{pattern:?} {mode:?}");
             for (name, v) in [
@@ -138,7 +139,7 @@ fn profile_figures_are_bounded_and_exportable() {
 /// staged pattern (d) sees its stage-in scope classified transfer-bound.
 #[test]
 fn operator_rows_attribute_transfers_to_staging_scopes() {
-    let report = run(
+    let (report, _) = run(
         Pattern::D,
         1 << 16,
         DeviceConfig::fermi_c2050(),

@@ -435,3 +435,55 @@ fn batch_report_percentiles_and_engine_utilization_are_consistent() {
             < 1e-12 + 1e-9 * batch.makespan_seconds
     );
 }
+
+/// A batch's profile covers that batch only. On a shared device (the
+/// service's), a second batch must not re-profile the first batch's spans
+/// or merge its per-query rows into the first batch's rows of the same
+/// name: its profile equals the same batch's profile on a fresh device.
+#[test]
+fn second_batch_profile_equals_its_fresh_device_profile() {
+    let inputs: Vec<Relation> = (0..4)
+        .map(|i| gen::micro_input(20_000 + 5_000 * i, 80 + i as u64))
+        .collect();
+    let plans: Vec<QueryPlan> = inputs
+        .iter()
+        .zip([1, 2, 3, 2])
+        .map(|(r, d)| chain(r, d))
+        .collect();
+    let bindings: Vec<[(&str, &Relation); 1]> = inputs.iter().map(|r| [("t", r)]).collect();
+    // Both batches use the same query names, so their per-query scopes
+    // (`q0:alpha`, `q1:beta`) collide on the shared device.
+    let batch = |lo: usize| -> Vec<BatchQuery<'_>> {
+        ["alpha", "beta"]
+            .into_iter()
+            .zip(lo..lo + 2)
+            .map(|(name, i)| BatchQuery {
+                name,
+                plan: &plans[i],
+                bindings: &bindings[i],
+            })
+            .collect()
+    };
+    let (first, second) = (batch(0), batch(2));
+
+    let mut shared = device();
+    execute_batch(&first, &mut shared, &WeaverConfig::default()).unwrap();
+    let on_shared = execute_batch(&second, &mut shared, &WeaverConfig::default()).unwrap();
+    let mut fresh = device();
+    let on_fresh = execute_batch(&second, &mut fresh, &WeaverConfig::default()).unwrap();
+
+    // One row per query scope (plus the unscoped reservation frees).
+    let mut rows: Vec<&str> = on_shared
+        .profile
+        .operators
+        .iter()
+        .map(|o| o.operator.as_str())
+        .collect();
+    rows.sort_unstable();
+    assert_eq!(rows, ["(unscoped)", "q0:alpha", "q1:beta"]);
+    assert_eq!(on_shared.makespan_seconds, on_fresh.makespan_seconds);
+    // The memory high-water mark is the one device-lifetime figure; the
+    // second batch is the larger one, so it sets both peaks.
+    assert_eq!(shared.memory().peak(), fresh.memory().peak());
+    assert_eq!(on_shared.profile, on_fresh.profile);
+}

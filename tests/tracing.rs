@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use kw_core::{execute_resilient, RetryPolicy, WeaverConfig};
 use kw_gpu_sim::{
-    chrome_trace_json, reconcile, validate_chrome_json, Device, DeviceConfig, FaultConfig, SpanKind,
+    chrome_trace_json, reconcile, sum_deltas, validate_chrome_json, Device, DeviceConfig,
+    FaultConfig, SpanKind,
 };
 use kw_tpch::{Pattern, Workload};
 
@@ -41,11 +42,18 @@ fn per_span_deltas_sum_to_aggregate_stats() {
     let w = q1();
     for fusion in [true, false] {
         let (dev, report) = run(&w, fusion);
-        // Both the device's live log and the PlanReport snapshot reconcile.
+        // The aggregate is the span log's sum, every counter bit for bit,
+        // and the report's seconds are read off that same sum.
         reconcile(dev.spans(), dev.stats())
             .unwrap_or_else(|e| panic!("device (fusion={fusion}): {e}"));
-        reconcile(&report.spans, &report.stats)
-            .unwrap_or_else(|e| panic!("report (fusion={fusion}): {e}"));
+        let sum = sum_deltas(dev.spans());
+        assert_eq!(sum, *dev.stats(), "fusion={fusion}");
+        assert_eq!(report.pcie_seconds, sum.pcie_seconds, "fusion={fusion}");
+        assert_eq!(
+            report.gpu_seconds,
+            dev.config().cycles_to_seconds(sum.gpu_cycles),
+            "fusion={fusion}"
+        );
     }
 }
 
@@ -75,29 +83,36 @@ fn traces_reconcile_under_fault_injection() {
         // must still sum exactly to the device's aggregate counters.
         reconcile(dev.spans(), dev.stats())
             .unwrap_or_else(|e| panic!("faulted device (fusion={fusion}): {e}"));
-        reconcile(&report.spans, &report.stats)
-            .unwrap_or_else(|e| panic!("faulted report (fusion={fusion}): {e}"));
-
+        // Fault and backoff charges are span deltas like any other.
         let res = report.resilience.as_ref().expect("resilience report");
+        let sum = sum_deltas(dev.spans());
+        assert_eq!(sum.backoff_seconds, res.backoff_seconds, "fusion={fusion}");
+        assert_eq!(
+            sum.faults_injected,
+            dev.spans()
+                .iter()
+                .filter(|s| s.kind == SpanKind::Fault)
+                .count() as u64,
+            "fusion={fusion}"
+        );
+
+        let spans = dev.spans();
         if res.faults_survived > 0 {
             assert!(
-                report.spans.iter().any(|s| s.kind == SpanKind::Fault),
+                spans.iter().any(|s| s.kind == SpanKind::Fault),
                 "survived faults must appear as fault spans (fusion={fusion})"
             );
             assert!(
-                report.spans.iter().any(|s| s.kind == SpanKind::Backoff),
+                spans.iter().any(|s| s.kind == SpanKind::Backoff),
                 "retries must appear as backoff spans (fusion={fusion})"
             );
             // Retry provenance frames mark which attempt each span fed.
             assert!(
-                report
-                    .spans
-                    .iter()
-                    .any(|s| s.provenance.starts_with("attempt")),
+                spans.iter().any(|s| s.provenance.starts_with("attempt")),
                 "spans must carry attempt provenance (fusion={fusion})"
             );
         }
-        let json = chrome_trace_json(&report.spans, 1.15);
+        let json = chrome_trace_json(spans, 1.15);
         validate_chrome_json(&json).expect("faulted trace exports valid JSON");
         reports.push(report);
     }
@@ -127,10 +142,10 @@ fn fused_trace_has_fewer_kernel_spans_and_less_global_traffic() {
         kernels(&base_dev)
     );
     assert!(
-        fused.stats.global_bytes() < base.stats.global_bytes(),
+        fused_dev.stats().global_bytes() < base_dev.stats().global_bytes(),
         "fused {} vs baseline {}",
-        fused.stats.global_bytes(),
-        base.stats.global_bytes()
+        fused_dev.stats().global_bytes(),
+        base_dev.stats().global_bytes()
     );
     // Fusion-candidate provenance flows from the compiler into span labels.
     assert!(fused_dev
